@@ -68,59 +68,50 @@ class LaunchTiming:
     total_s: float
 
 
-class CostModel:
-    """Evaluates kernel and transfer costs for one :class:`GpuSpec`.
+def _static_cost(shader: FragmentShader) -> KernelCost:
+    """Sum the per-instruction cycle costs of a shader body.
 
-    ``cache_kernel_costs`` memoizes :meth:`kernel_cost` per shader
-    object — the cost is a pure function of the (immutable) shader, so
-    the modeled numbers are unchanged; only the per-launch IR walk is
-    skipped.  The fused device path enables it; the ``optimize="none"``
-    oracle keeps the historical walk-every-launch behaviour.
+    Shared subtrees are counted once (they occupy one register).
     """
+    cycles = 0.0
+    for node in ir.walk(shader.body):
+        if isinstance(node, ir.Op):
+            cycles += OP_COSTS[node.op]
+        elif isinstance(node, ir.Dot):
+            cycles += OP_COSTS["dot"]
+        elif isinstance(node, ir.Select):
+            cycles += OP_COSTS["select"]
+        elif isinstance(node, ir.Combine):
+            cycles += OP_COSTS["combine"]
+        elif isinstance(node, ir.TexFetch):
+            cycles += OP_COSTS["tex"]
+        elif isinstance(node, ir.TexFetchDyn):
+            cycles += OP_COSTS["tex_dyn"]
+        # Const / Uniform / Swizzle / FragCoord: register reads, free.
+    stats = shader.stats
+    return KernelCost(cycles_per_fragment=cycles,
+                      static_fetches=stats.static_fetches,
+                      dynamic_fetches=stats.dynamic_fetches)
 
-    def __init__(self, spec: GpuSpec, *, cache_kernel_costs: bool = False):
+
+class CostModel:
+    """Evaluates kernel and transfer costs for one :class:`GpuSpec`."""
+
+    def __init__(self, spec: GpuSpec):
         self.spec = spec
-        self._cache_kernel_costs = cache_kernel_costs
-        # id -> (shader, cost); the shader ref keeps the id stable.
-        self._kernel_costs: dict[int, tuple[FragmentShader, KernelCost]] = {}
 
     # ------------------------------------------------------------- kernels
     @staticmethod
     def kernel_cost(shader: FragmentShader) -> KernelCost:
-        """Sum the per-instruction cycle costs of a shader body.
+        """The static per-fragment cost of a shader.
 
-        Shared subtrees are counted once (they occupy one register), the
-        same convention the interpreter uses for evaluation.
+        A pure function of the (immutable) shader, so it is computed by
+        one IR walk per shader and cached on it
+        (:meth:`FragmentShader.compiled
+        <repro.gpu.shader.FragmentShader.compiled>`); every device and
+        every launch after the first reads the cached value.
         """
-        cycles = 0.0
-        for node in ir.walk(shader.body):
-            if isinstance(node, ir.Op):
-                cycles += OP_COSTS[node.op]
-            elif isinstance(node, ir.Dot):
-                cycles += OP_COSTS["dot"]
-            elif isinstance(node, ir.Select):
-                cycles += OP_COSTS["select"]
-            elif isinstance(node, ir.Combine):
-                cycles += OP_COSTS["combine"]
-            elif isinstance(node, ir.TexFetch):
-                cycles += OP_COSTS["tex"]
-            elif isinstance(node, ir.TexFetchDyn):
-                cycles += OP_COSTS["tex_dyn"]
-            # Const / Uniform / Swizzle / FragCoord: register reads, free.
-        stats = shader.stats
-        return KernelCost(cycles_per_fragment=cycles,
-                          static_fetches=stats.static_fetches,
-                          dynamic_fetches=stats.dynamic_fetches)
-
-    def _cost_of(self, shader: FragmentShader) -> KernelCost:
-        """:meth:`kernel_cost`, through the per-shader cache if enabled."""
-        if not self._cache_kernel_costs:
-            return self.kernel_cost(shader)
-        entry = self._kernel_costs.get(id(shader))
-        if entry is None or entry[0] is not shader:
-            entry = (shader, self.kernel_cost(shader))
-            self._kernel_costs[id(shader)] = entry
-        return entry[1]
+        return shader.compiled("cost", _static_cost)
 
     def _timing(self, cost: KernelCost, width: int,
                 height: int) -> LaunchTiming:
@@ -143,7 +134,7 @@ class CostModel:
     def launch_time(self, shader: FragmentShader, width: int,
                     height: int) -> tuple[KernelCost, LaunchTiming]:
         """Modeled wall time of one launch over ``width x height``."""
-        cost = self._cost_of(shader)
+        cost = self.kernel_cost(shader)
         return cost, self._timing(cost, width, height)
 
     def fused_launch_time(self, shaders, width: int,
@@ -161,7 +152,7 @@ class CostModel:
         static_fetches = 0
         dynamic_fetches = 0
         for shader in shaders:
-            part = self._cost_of(shader)
+            part = self.kernel_cost(shader)
             cycles += part.cycles_per_fragment
             static_fetches += part.static_fetches
             dynamic_fetches += part.dynamic_fetches

@@ -40,12 +40,13 @@ class VirtualGPU:
         (GeForce 7800 GTX).
     optimize:
         ``"fuse"`` (default) runs launches through the interpreter's
-        fused fast path — strided fixed-offset fetches, the per-launch
-        scratch temporary elided (results broadcast straight into the
-        target texture), kernel costs cached per shader.  ``"none"``
-        keeps the historical per-launch behaviour as the bit-identity
-        oracle.  Texel values, launch records and modeled times are
-        identical either way.
+        fast path — each shader's compiled plan, strided fixed-offset
+        fetches, the per-launch scratch temporary elided (results
+        broadcast straight into the target texture).  ``"none"`` runs
+        the recursive reference evaluator as the bit-identity oracle.
+        Texel values, launch records and modeled times are identical
+        either way; kernel costs come from the shader's cached static
+        cost in both modes.
 
     Notes
     -----
@@ -61,8 +62,7 @@ class VirtualGPU:
         self.spec = spec
         self.optimize = optimize
         self.vram = VramAllocator(spec.vram_bytes)
-        self.cost_model = CostModel(spec,
-                                    cache_kernel_costs=optimize == "fuse")
+        self.cost_model = CostModel(spec)
         self.counters = GpuCounters()
 
     # ------------------------------------------------------------ textures
@@ -116,8 +116,9 @@ class VirtualGPU:
         self._check_bindings(shader.name, target, textures)
         arrays = {name: tex.data for name, tex in textures.items()}
         if self.optimize == "fuse":
-            # The raw evaluation broadcasts straight into the target —
-            # the interpreter's full-extent scratch copy never exists.
+            # The compiled plan's raw result broadcasts straight into the
+            # target — the interpreter's full-extent scratch copy never
+            # exists.
             result = execute_lazy(shader, target.height, target.width,
                                   arrays, uniforms, fast_fetch=True)
             target.data[...] = result
@@ -167,13 +168,13 @@ class VirtualGPU:
                      ) -> Texture2D:
         """Run a :class:`~repro.stream.kernel.FusedKernel` as ONE pass.
 
-        The composite's parts are evaluated under a single shared
-        context and structural memo — intermediate streams of the
-        original chain never become textures, never touch VRAM and
-        never pay a render-target write.  One launch record is
-        appended, whose cycle and fetch counts sum the members' (the
-        work still happens) while timing charges a single target write
-        and launch overhead.  Valid in both ``optimize`` modes — the
+        The composite's parts run as one compiled plan under a single
+        shared context — intermediate streams of the original chain
+        never become textures, never touch VRAM and never pay a
+        render-target write.  One launch record is appended, whose
+        cycle and fetch counts sum the members' (the work still
+        happens) while timing charges a single target write and launch
+        overhead.  Valid in both ``optimize`` modes — the
         graph was fused by the stream compiler, not the device; the
         device mode only selects the interpreter's fetch fast path.
         """

@@ -9,15 +9,29 @@ realistic scenes on one CPU core.
 Clamp-to-edge addressing is implemented with clipped index arrays; the
 row/column index vectors are cached per (extent, offset) so repeated
 fixed-offset fetches (the overwhelmingly common case in the AMC kernels)
-cost one fancy-indexing gather each — or, on the fused fast path
+cost one fancy-indexing gather each — or, on the device fast path
 (``optimize="fuse"``), a strided interior copy with broadcast edge
 bands that yields byte-identical texels several times faster.
 
-Shared subtrees are evaluated once per launch via a *structurally*
-keyed memo (IR nodes are immutable and hashable), mirroring the
-register allocation a shader compiler performs.  Keying on structure
-rather than object identity means equal-but-distinct subtrees — the
-kind mechanical graph builders emit — also evaluate once.
+Each shader is *compiled once*, the way the paper's Cg kernels are
+compiled for the fp30 profile before any launch.  :func:`compile_plan`
+turns the body into a straight-line :class:`Plan`: constants
+pre-quantized to float32 registers, then one step per remaining
+distinct subexpression in evaluation order, each naming the NumPy
+operation and the register slots of its operands.  Subexpressions are
+deduplicated *structurally* (IR nodes are immutable and hashable), so
+equal-but-distinct subtrees — the kind mechanical graph builders emit —
+share one register and evaluate once, mirroring the register allocation
+a shader compiler performs.  The plan is cached on the shader
+(:meth:`FragmentShader.compiled
+<repro.gpu.shader.FragmentShader.compiled>`), so a launch through
+:func:`execute_lazy` or :func:`execute_fused_lazy` is a loop over slots:
+no IR walk, no per-node type dispatch, no structural hashing.
+
+:func:`execute` keeps the historical recursive evaluator with a
+per-launch structural memo (:func:`_eval`) as the independent oracle
+behind ``optimize="none"``; both paths issue the same NumPy operations
+in the same order, so their texels are byte-identical.
 """
 
 from __future__ import annotations
@@ -80,6 +94,79 @@ class ShaderContext:
         return self._fragcoord
 
 
+# ---------------------------------------------------------------------------
+# Instruction semantics, shared by the recursive oracle and compiled plans
+# ---------------------------------------------------------------------------
+
+def _log(a):
+    # fp30 LG2 returns -inf for 0 and NaN for negatives; the library's
+    # kernels always clamp first, but the simulator must not crash on raw
+    # hardware semantics either.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(a)
+
+
+def _rcp(a):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (np.float32(1.0) / a).astype(_F32, copy=False)
+
+
+def _sqrt(a):
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(a)
+
+
+def _div(a, b):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a / b
+
+
+def _cmp_gt(a, b):
+    return (a > b).astype(_F32)
+
+
+def _cmp_ge(a, b):
+    return (a >= b).astype(_F32)
+
+
+def _dot(a, b):
+    prod = a * b
+    summed = prod.sum(axis=-1, dtype=_F32, keepdims=True)
+    return np.broadcast_to(summed, prod.shape if prod.ndim == 3
+                           else (4,)).astype(_F32, copy=False)
+
+
+def _fetch_dyn(coord, tex, height, width):
+    h, w = tex.shape[:2]
+    coord = np.broadcast_to(coord, (height, width, 4))
+    cols = np.clip(np.rint(coord[:, :, 0]).astype(np.intp), 0, w - 1)
+    rows = np.clip(np.rint(coord[:, :, 1]).astype(np.intp), 0, h - 1)
+    return tex[rows, cols]
+
+
+def _combine(parts, height, width):
+    shape = (height, width, 4)
+    lanes = [np.broadcast_to(p, shape)[..., 0] for p in parts]
+    return np.stack(lanes, axis=-1).astype(_F32, copy=False)
+
+
+def _select(cond, t, f):
+    return np.where(cond != 0, t, f).astype(_F32, copy=False)
+
+
+#: Lane-wise opcodes -> their NumPy operation (``-a`` is ``np.negative``,
+#: ``a + b`` is ``np.add``, ...).
+_UNARY_IMPL = {"log": _log, "exp": np.exp, "neg": np.negative,
+               "abs": np.abs, "floor": np.floor, "rcp": _rcp, "sqrt": _sqrt}
+_BINARY_IMPL = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+                "div": _div, "min": np.minimum, "max": np.maximum,
+                "cmp_gt": _cmp_gt, "cmp_ge": _cmp_ge}
+
+
+# ---------------------------------------------------------------------------
+# The recursive oracle
+# ---------------------------------------------------------------------------
+
 def _eval(node: ir.Expr, ctx: ShaderContext,
           memo: dict[ir.Expr, np.ndarray]) -> np.ndarray:
     # Structural key: IR nodes are frozen dataclasses, so equal subtrees
@@ -105,85 +192,228 @@ def _eval_uncached(node: ir.Expr, ctx: ShaderContext,
         return _fetch_static(ctx.textures[node.sampler], node.dx, node.dy,
                              fast=ctx.fast_fetch)
     if isinstance(node, ir.TexFetchDyn):
-        coord = _eval(node.coord, ctx, memo)
-        tex = ctx.textures[node.sampler]
-        h, w = tex.shape[:2]
-        coord = np.broadcast_to(coord, (ctx.height, ctx.width, 4))
-        cols = np.clip(np.rint(coord[:, :, 0]).astype(np.intp), 0, w - 1)
-        rows = np.clip(np.rint(coord[:, :, 1]).astype(np.intp), 0, h - 1)
-        return tex[rows, cols]
+        return _fetch_dyn(_eval(node.coord, ctx, memo),
+                          ctx.textures[node.sampler], ctx.height, ctx.width)
     if isinstance(node, ir.Op):
         a = _eval(node.args[0], ctx, memo)
         if node.op in ir.UNARY_OPS:
-            if node.op == "log":
-                # fp30 LG2 returns -inf for 0 and NaN for negatives; the
-                # library's kernels always clamp first, but the simulator
-                # must not crash on raw hardware semantics either.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.log(a)
-            if node.op == "exp":
-                return np.exp(a)
-            if node.op == "neg":
-                return -a
-            if node.op == "abs":
-                return np.abs(a)
-            if node.op == "floor":
-                return np.floor(a)
-            if node.op == "rcp":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return (np.float32(1.0) / a).astype(_F32, copy=False)
-            if node.op == "sqrt":
-                with np.errstate(invalid="ignore"):
-                    return np.sqrt(a)
-            raise ShaderError(f"unhandled unary op {node.op!r}")
-        b = _eval(node.args[1], ctx, memo)
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        if node.op == "div":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return a / b
-        if node.op == "min":
-            return np.minimum(a, b)
-        if node.op == "max":
-            return np.maximum(a, b)
-        if node.op == "cmp_gt":
-            return (a > b).astype(_F32)
-        if node.op == "cmp_ge":
-            return (a >= b).astype(_F32)
-        raise ShaderError(f"unhandled binary op {node.op!r}")
+            return _UNARY_IMPL[node.op](a)
+        return _BINARY_IMPL[node.op](a, _eval(node.args[1], ctx, memo))
     if isinstance(node, ir.Dot):
         a = _eval(node.a, ctx, memo)
-        b = _eval(node.b, ctx, memo)
-        prod = a * b
-        summed = prod.sum(axis=-1, dtype=_F32, keepdims=True)
-        return np.broadcast_to(summed, prod.shape if prod.ndim == 3
-                               else (4,)).astype(_F32, copy=False)
+        return _dot(a, _eval(node.b, ctx, memo))
     if isinstance(node, ir.Swizzle):
         src = _eval(node.source, ctx, memo)
-        idx = list(node.lane_indices())
-        return src[..., idx]
+        return src[..., list(node.lane_indices())]
     if isinstance(node, ir.Combine):
         parts = [_eval(p, ctx, memo) for p in
                  (node.x, node.y, node.z, node.w)]
-        shape = (ctx.height, ctx.width, 4)
-        lanes = [np.broadcast_to(p, shape)[..., 0] for p in parts]
-        return np.stack(lanes, axis=-1).astype(_F32, copy=False)
+        return _combine(parts, ctx.height, ctx.width)
     if isinstance(node, ir.Select):
         cond = _eval(node.cond, ctx, memo)
         t = _eval(node.if_true, ctx, memo)
-        f = _eval(node.if_false, ctx, memo)
-        return np.where(cond != 0, t, f).astype(_F32, copy=False)
+        return _select(cond, t, _eval(node.if_false, ctx, memo))
     raise ShaderError(f"unknown IR node type {type(node).__name__}")
 
+
+# ---------------------------------------------------------------------------
+# Compiled plans
+# ---------------------------------------------------------------------------
+
+# Step kinds.  A step is a flat ``(kind, op, a, b)`` tuple; its result
+# is appended to the register file, so step i writes slot
+# ``len(plan.consts) + i``.
+_BINARY = 0   # op(regs[a], regs[b])
+_FETCH = 1    # _fetch_static(textures[op], a, b) — op is the sampler
+_UNARY = 2    # op(regs[a])
+_CALL = 3     # op(ctx, regs, a, b)
+
+
+def _step_uniform(ctx, regs, name, _):
+    return ctx.uniforms[name]
+
+
+def _step_fragcoord(ctx, regs, _a, _b):
+    return ctx.fragcoord()
+
+
+def _step_fetch_dyn(ctx, regs, coord, sampler):
+    return _fetch_dyn(regs[coord], ctx.textures[sampler], ctx.height,
+                      ctx.width)
+
+
+def _step_swizzle(ctx, regs, source, lanes):
+    return regs[source][..., lanes]
+
+
+def _step_combine(ctx, regs, slots, _):
+    return _combine([regs[s] for s in slots], ctx.height, ctx.width)
+
+
+def _step_select(ctx, regs, slots, _):
+    cond, t, f = slots
+    return _select(regs[cond], regs[t], regs[f])
+
+
+def _step_bind(ctx, regs, slot, name):
+    # A fused launch's intermediate part: materialized to full extent and
+    # registered as an in-launch texture under its stream name.
+    part = np.empty((ctx.height, ctx.width, 4), dtype=_F32)
+    part[...] = regs[slot]
+    ctx.textures[name] = part
+    return part
+
+
+class Plan:
+    """A compiled fragment program: straight-line steps over registers.
+
+    Attributes
+    ----------
+    consts:
+        The float32 constant registers (read-only), occupying the first
+        slots.
+    steps:
+        ``(kind, op, a, b)`` tuples in evaluation order; step *i* fills
+        slot ``len(consts) + i``.
+    out:
+        The slot holding the program's result.
+    samplers, uniforms:
+        The bindings a launch must supply (for a fused plan: the parts'
+        external samplers and all their uniforms).
+    """
+
+    __slots__ = ("consts", "steps", "out", "samplers", "uniforms")
+
+    def __init__(self, consts, steps, out, samplers, uniforms):
+        self.consts = consts
+        self.steps = steps
+        self.out = out
+        self.samplers = samplers
+        self.uniforms = uniforms
+
+
+def compile_plan(part_shaders, part_names=()) -> Plan:
+    """Compile one shader — or a fused kernel's parts — into a :class:`Plan`.
+
+    One structural common-subexpression pass over the bodies, visiting
+    nodes in exactly the order the recursive evaluator first reaches
+    them, so the plan issues the oracle's NumPy operations in the
+    oracle's order.  With several parts, every non-final part is
+    followed by a step materializing it as an in-launch texture named by
+    ``part_names``; the subexpression table is shared across parts
+    (a fetch appearing in several members evaluates once per launch).
+    """
+    order: list = []  # IR nodes, plus (body, name) part bindings
+    seen: set[ir.Expr] = set()  # structural: equal subtrees compile once
+
+    def visit(node: ir.Expr) -> None:
+        if node in seen:
+            return
+        for child in ir.children(node):
+            visit(child)
+        seen.add(node)
+        order.append(node)
+
+    for index, shader in enumerate(part_shaders):
+        visit(shader.body)
+        if index < len(part_shaders) - 1:
+            order.append((shader.body, part_names[index]))
+
+    consts = [node for node in order if isinstance(node, ir.Const)]
+    slot: dict[ir.Expr, int] = {node: i for i, node in enumerate(consts)}
+    steps: list[tuple] = []
+    for node in order:
+        if isinstance(node, ir.Const):
+            continue
+        if isinstance(node, tuple):
+            body, name = node
+            step = (_CALL, _step_bind, slot[body], name)
+        elif isinstance(node, ir.Op):
+            args = [slot[a] for a in node.args]
+            if node.op in ir.UNARY_OPS:
+                step = (_UNARY, _UNARY_IMPL[node.op], args[0], None)
+            else:
+                step = (_BINARY, _BINARY_IMPL[node.op], args[0], args[1])
+        elif isinstance(node, ir.TexFetch):
+            step = (_FETCH, node.sampler, node.dx, node.dy)
+        elif isinstance(node, ir.Dot):
+            step = (_BINARY, _dot, slot[node.a], slot[node.b])
+        elif isinstance(node, ir.Swizzle):
+            step = (_CALL, _step_swizzle, slot[node.source],
+                    list(node.lane_indices()))
+        elif isinstance(node, ir.Uniform):
+            step = (_CALL, _step_uniform, node.name, None)
+        elif isinstance(node, ir.FragCoord):
+            step = (_CALL, _step_fragcoord, None, None)
+        elif isinstance(node, ir.TexFetchDyn):
+            step = (_CALL, _step_fetch_dyn, slot[node.coord], node.sampler)
+        elif isinstance(node, ir.Combine):
+            step = (_CALL, _step_combine,
+                    tuple(slot[p] for p in (node.x, node.y, node.z, node.w)),
+                    None)
+        elif isinstance(node, ir.Select):
+            step = (_CALL, _step_select,
+                    (slot[node.cond], slot[node.if_true],
+                     slot[node.if_false]), None)
+        else:
+            raise ShaderError(
+                f"unknown IR node type {type(node).__name__}")
+        steps.append(step)
+        if not isinstance(node, tuple):
+            slot[node] = len(consts) + len(steps) - 1
+
+    const_regs = []
+    for node in consts:
+        value = np.array(node.values, dtype=_F32)
+        value.setflags(write=False)
+        const_regs.append(value)
+
+    part_set = set(part_names)
+    samplers = tuple(dict.fromkeys(
+        s for shader in part_shaders for s in shader.samplers
+        if s not in part_set))
+    uniforms = tuple(dict.fromkeys(
+        u for shader in part_shaders for u in shader.uniforms))
+    return Plan(tuple(const_regs), tuple(steps),
+                slot[part_shaders[-1].body], samplers, uniforms)
+
+
+def _compile_shader(shader: FragmentShader) -> Plan:
+    return compile_plan((shader,))
+
+
+def _run(plan: Plan, ctx: ShaderContext) -> np.ndarray:
+    """Execute a compiled plan under one launch's bindings."""
+    regs = list(plan.consts)
+    append = regs.append
+    textures = ctx.textures
+    fast = ctx.fast_fetch
+    for kind, op, a, b in plan.steps:
+        if kind == _BINARY:
+            append(op(regs[a], regs[b]))
+        elif kind == _FETCH:
+            # Through the module global on every fetch, so a patched
+            # _fetch_static sees each one.
+            append(_fetch_static(textures[op], a, b, fast=fast))
+        elif kind == _UNARY:
+            append(op(regs[a]))
+        else:
+            append(op(ctx, regs, a, b))
+    return regs[plan.out]
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
 
 def execute(shader: FragmentShader, height: int, width: int,
             textures: dict[str, np.ndarray],
             uniforms: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Run ``shader`` over an ``height x width`` render target.
+
+    This is the recursive reference evaluator (the device's
+    ``optimize="none"`` oracle): it walks the IR with a per-launch
+    structural memo instead of running the compiled plan.
 
     Parameters
     ----------
@@ -209,7 +439,10 @@ def execute(shader: FragmentShader, height: int, width: int,
         If a binding is missing or a texture has the wrong shape for
         offset addressing.
     """
-    result = execute_lazy(shader, height, width, textures, uniforms)
+    tex_arrays = _coerce_textures(shader.name, shader.samplers, textures)
+    uni_arrays = _coerce_uniforms(shader.name, shader.uniforms, uniforms)
+    ctx = ShaderContext(height, width, tex_arrays, uni_arrays)
+    result = _eval(shader.body, ctx, {})
     out = np.empty((height, width, 4), dtype=_F32)
     out[...] = result  # broadcasts constants / uniforms to full extent
     return out
@@ -219,22 +452,24 @@ def execute_lazy(shader: FragmentShader, height: int, width: int,
                  textures: dict[str, np.ndarray],
                  uniforms: dict[str, np.ndarray] | None = None,
                  *, fast_fetch: bool = False) -> np.ndarray:
-    """Like :func:`execute` but returns the raw evaluation result.
+    """Like :func:`execute`, through the shader's compiled plan, returning
+    the raw evaluation result.
 
     The values are the same float32 texels; the array may be smaller
     than the full target (a constant or uniform result broadcasts) and
-    may *alias an input texture* (a zero-offset copy kernel).  Callers
-    own the final materialization — :meth:`VirtualGPU.launch
+    may *alias an input texture* (a zero-offset copy kernel) or a
+    read-only constant register.  Callers own the final
+    materialization — :meth:`VirtualGPU.launch
     <repro.gpu.device.VirtualGPU.launch>` broadcasts the result into
     the target texture directly, eliding the interpreter's scratch
     temporary on the device's ``optimize="fuse"`` path.
     """
-    tex_arrays = _coerce_textures(shader.name, shader.samplers, textures)
-    uni_arrays = _coerce_uniforms(shader.name, shader.uniforms, uniforms)
+    plan = shader.compiled("plan", _compile_shader)
+    tex_arrays = _coerce_textures(shader.name, plan.samplers, textures)
+    uni_arrays = _coerce_uniforms(shader.name, plan.uniforms, uniforms)
     ctx = ShaderContext(height, width, tex_arrays, uni_arrays,
                         fast_fetch=fast_fetch)
-    memo: dict[ir.Expr, np.ndarray] = {}
-    return _eval(shader.body, ctx, memo)
+    return _run(plan, ctx)
 
 
 def _coerce_textures(kernel: str, samplers, textures) -> dict[str, np.ndarray]:
@@ -274,6 +509,27 @@ def _coerce_uniforms(kernel: str, declared, uniforms) -> dict[str, np.ndarray]:
     return uni_arrays
 
 
+def _fused_plan(part_shaders, part_names) -> Plan:
+    """The compiled plan of a fused kernel, cached on its final part.
+
+    Part shaders are built fresh for each fused kernel, so the final
+    part identifies the composite; the cached entry still checks the
+    earlier parts by identity and recompiles (uncached) on a mismatch.
+    """
+    part_shaders = tuple(part_shaders)
+    part_names = tuple(part_names)
+
+    def build(_final):
+        return part_shaders, compile_plan(part_shaders, part_names)
+
+    cached_parts, plan = part_shaders[-1].compiled(
+        ("fused", part_names), build)
+    if len(cached_parts) != len(part_shaders) or any(
+            a is not b for a, b in zip(cached_parts, part_shaders)):
+        plan = compile_plan(part_shaders, part_names)
+    return plan
+
+
 def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
                        textures: dict[str, np.ndarray],
                        uniforms: dict[str, np.ndarray] | None = None,
@@ -288,27 +544,18 @@ def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
     identical to a real intermediate texture), and the final part's raw
     result returned as in :func:`execute_lazy`.
 
-    The single :class:`ShaderContext` and structurally-keyed memo are
-    shared across *all* parts — a fetch or uniform-only subexpression
-    appearing in several members evaluates once per fused launch
-    instead of once per original pass (the hoisting the fusion compiler
-    promises).
+    The parts compile into *one* plan whose subexpression table spans
+    all of them — a fetch or uniform-only subexpression appearing in
+    several members evaluates once per fused launch instead of once per
+    original pass (the hoisting the fusion compiler promises).
     """
     label = part_names[-1] if part_names else "fused"
-    external = [s for shader in part_shaders for s in shader.samplers
-                if s not in part_names]
-    declared = [u for shader in part_shaders for u in shader.uniforms]
-    tex_arrays = _coerce_textures(label, dict.fromkeys(external), textures)
-    uni_arrays = _coerce_uniforms(label, dict.fromkeys(declared), uniforms)
-
+    plan = _fused_plan(part_shaders, part_names)
+    tex_arrays = _coerce_textures(label, plan.samplers, textures)
+    uni_arrays = _coerce_uniforms(label, plan.uniforms, uniforms)
     ctx = ShaderContext(height, width, tex_arrays, uni_arrays,
                         fast_fetch=fast_fetch)
-    memo: dict[ir.Expr, np.ndarray] = {}
-    for shader, name in zip(part_shaders[:-1], part_names[:-1]):
-        part = np.empty((height, width, 4), dtype=_F32)
-        part[...] = _eval(shader.body, ctx, memo)
-        ctx.textures[name] = part
-    return _eval(part_shaders[-1].body, ctx, memo)
+    return _run(plan, ctx)
 
 
 def execute_fused(part_shaders, part_names, height: int, width: int,

@@ -5,6 +5,11 @@ expression over declared samplers and uniforms.  Validation happens at
 construction (the moment a real Cg program would fail to compile), so a
 launch can assume a structurally sound program and only has to check the
 *bindings* it receives.
+
+A shader is immutable, so everything derived from its body — the
+interpreter's straight-line plan, the cost model's static cycle count —
+is built once per shader object by :meth:`FragmentShader.compiled` and
+cached on the shader: compiled once, launched many times, on any device.
 """
 
 from __future__ import annotations
@@ -121,3 +126,15 @@ class FragmentShader:
     def stats(self) -> ShaderStats:
         """Static statistics computed at validation time."""
         return self._stats["stats"]
+
+    def compiled(self, product, build):
+        """The compile product ``product``, built by ``build(self)`` once.
+
+        The result is cached on the shader, so every later launch — on
+        any :class:`~repro.gpu.device.VirtualGPU`, in any job — reuses
+        it instead of re-walking the IR.
+        """
+        value = self._stats.get(product)
+        if value is None:
+            value = self._stats[product] = build(self)
+        return value

@@ -131,3 +131,74 @@ class TestLaunch:
         gpu.reset_counters()
         assert gpu.counters.kernel_launch_count == 0
         assert gpu.counters.bytes_uploaded == 0
+
+
+class TestCompileOnce:
+    """A shader is compiled once — plan and static cost — however many
+    devices (one per serving job) launch it."""
+
+    @pytest.fixture()
+    def compiles(self, monkeypatch):
+        from repro.gpu import cost, interpreter
+
+        counts = {"plan": 0, "cost": 0}
+        real_plan = interpreter.compile_plan
+        real_cost = cost._static_cost
+
+        def counting_plan(*args, **kwargs):
+            counts["plan"] += 1
+            return real_plan(*args, **kwargs)
+
+        def counting_cost(shader):
+            counts["cost"] += 1
+            return real_cost(shader)
+
+        monkeypatch.setattr(interpreter, "compile_plan", counting_plan)
+        monkeypatch.setattr(cost, "_static_cost", counting_cost)
+        return counts
+
+    def test_two_devices_compile_shader_once(self, compiles, rng):
+        shader = FragmentShader(
+            "fresh", ir.add(ir.TexFetch("a", 1, 0), ir.Uniform("u")),
+            samplers=("a",), uniforms=("u",))
+        data = rng.uniform(size=(5, 4, 4)).astype(np.float32)
+        records = []
+        for _ in range(2):
+            device = VirtualGPU(GEFORCE_7800GTX)
+            tex = device.upload(data)
+            for _ in range(3):
+                device.launch(shader, device.create_target(5, 4),
+                              {"a": tex}, {"u": np.float32(0.5)})
+            records.append(device.counters.launches)
+        assert compiles == {"plan": 1, "cost": 1}
+        assert records[0] == records[1]
+
+    def test_two_devices_compile_fused_kernel_once(self, compiles, rng):
+        from repro.stream import (
+            StageGraph,
+            Step,
+            StreamKernel,
+            fuse_elementwise,
+        )
+
+        shift = StreamKernel.from_expression(
+            "shift", ir.TexFetch("a", 0, 1), inputs=("a",))
+        mix = StreamKernel.from_expression(
+            "mix", ir.add(ir.TexFetch("a", 1, 0), ir.TexFetch("b")),
+            inputs=("a", "b"))
+        fused = fuse_elementwise(StageGraph(
+            "g", inputs=("x",),
+            steps=(Step(shift, {"a": "x"}, "t"),
+                   Step(mix, {"a": "t", "b": "x"}, "out")),
+            outputs=("out",)))
+        kernel = fused.steps[0].kernel
+        assert len(kernel.part_shaders) == 2
+        data = rng.uniform(size=(5, 4, 4)).astype(np.float32)
+        for _ in range(2):
+            device = VirtualGPU(GEFORCE_7800GTX)
+            tex = device.upload(data)
+            for _ in range(3):
+                device.launch_fused(kernel, device.create_target(5, 4),
+                                    {"x": tex})
+        # one joint plan; one static cost per part
+        assert compiles == {"plan": 1, "cost": 2}

@@ -1,11 +1,14 @@
 """Property-based fuzzing of the shader interpreter.
 
-Hypothesis generates random IR trees; every tree is evaluated twice —
-by the production interpreter and by an independent, recursive
-reference evaluator written here (no memoization, no vectorized fetch
-shortcuts, plain float32 NumPy per node).  Any semantic divergence
+Hypothesis generates random IR trees; every tree is evaluated by the
+interpreter's recursive evaluator (``execute``), by an independent,
+recursive reference evaluator written here (no memoization, no
+vectorized fetch shortcuts, plain float32 NumPy per node) and by the
+device fast path production runs (``VirtualGPU.launch``: the shader's
+compiled plan with strided fetches).  Any semantic divergence
 (including in clamp-to-edge addressing and lane plumbing) fails the
-property.
+property; the fast path must match ``execute`` byte for byte, over the
+full opcode set and dependent fetches too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import FragmentShader
+from repro.gpu import FragmentShader, VirtualGPU
 from repro.gpu import shaderir as ir
 from repro.gpu.interpreter import execute
 
@@ -126,6 +129,41 @@ def _extend(children):
 trees = st.recursive(_leaf(), _extend, max_leaves=12)
 
 
+def _extend_all(children):
+    """Every opcode (transcendentals and division included) plus
+    dependent fetches — for the byte-identity property only, where no
+    tolerance is needed."""
+    return st.one_of(
+        _extend(children),
+        st.tuples(st.sampled_from(sorted(ir.BINARY_OPS)), children,
+                  children).map(lambda t: ir.Op(t[0], (t[1], t[2]))),
+        st.tuples(st.sampled_from(sorted(ir.UNARY_OPS)), children).map(
+            lambda t: ir.Op(t[0], (t[1],))),
+        st.builds(ir.TexFetchDyn, st.sampled_from(_SAMPLERS), children),
+    )
+
+
+all_op_trees = st.recursive(_leaf(), _extend_all, max_leaves=12)
+
+
+def _launch(shader, textures, uniforms):
+    """Run ``shader`` through ``VirtualGPU.launch``; the target texels."""
+    device = VirtualGPU()
+    target = device.create_target(H, W)
+    bound = {s: device.upload(t, label=s) for s, t in textures.items()}
+    device.launch(shader, target, bound, uniforms)
+    return target.data
+
+
+def _bindings(seed):
+    rng = np.random.default_rng(seed)
+    textures = {s: rng.uniform(-2.0, 2.0, size=(H, W, 4)).astype(_F32)
+                for s in _SAMPLERS}
+    uniforms = {u: rng.uniform(-2.0, 2.0, size=4).astype(_F32)
+                for u in _UNIFORMS}
+    return textures, uniforms
+
+
 def _wrap_used(body: ir.Expr) -> ir.Expr:
     """Ensure every declared sampler/uniform is used (validator rule):
     add 0 * (sum of everything) to the body."""
@@ -140,11 +178,7 @@ def _wrap_used(body: ir.Expr) -> ir.Expr:
 @given(trees, st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=120, deadline=None)
 def test_interpreter_matches_reference_evaluator(tree, seed):
-    rng = np.random.default_rng(seed)
-    textures = {s: rng.uniform(-2.0, 2.0, size=(H, W, 4)).astype(_F32)
-                for s in _SAMPLERS}
-    uniforms = {u: rng.uniform(-2.0, 2.0, size=4).astype(_F32)
-                for u in _UNIFORMS}
+    textures, uniforms = _bindings(seed)
     body = _wrap_used(tree)
     shader = FragmentShader("fuzz", body, samplers=_SAMPLERS,
                             uniforms=_UNIFORMS)
@@ -152,3 +186,16 @@ def test_interpreter_matches_reference_evaluator(tree, seed):
     want = _reference_eval(body, textures, uniforms)
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
     assert got.dtype == np.float32
+    # The production path: compiled plan, strided fetches, launched.
+    assert _launch(shader, textures, uniforms).tobytes() == got.tobytes()
+
+
+@given(all_op_trees, st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=120, deadline=None)
+def test_device_fast_path_bytes_match_oracle(tree, seed):
+    textures, uniforms = _bindings(seed)
+    shader = FragmentShader("fuzz", _wrap_used(tree), samplers=_SAMPLERS,
+                            uniforms=_UNIFORMS)
+    with np.errstate(all="ignore"):
+        want = execute(shader, H, W, textures, uniforms).tobytes()
+        assert _launch(shader, textures, uniforms).tobytes() == want

@@ -11,7 +11,6 @@ as in production.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -216,32 +215,3 @@ def test_cli_lists_rules():
     assert proc.returncode == 0
     for rule_id, _, _, _ in RULE_CASES:
         assert rule_id in proc.stdout
-
-
-def _load_wrapper(name):
-    path = os.path.join(REPO_ROOT, "tools", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault(name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("wrapper, expected_file, expected_count", [
-    ("check_excepts", "blanket_bad.py", 3),
-    ("check_dispatch", "dispatch_bad.py", 2),
-])
-def test_legacy_wrappers_delegate(wrapper, expected_file, expected_count):
-    """check_excepts/check_dispatch keep their scan() contract, now
-    backed by the AST rules: real repo clean, fixture tree reported as
-    path:line: text strings."""
-    module = _load_wrapper(wrapper)
-    assert module.scan() == []
-    problems = module.scan(FIXTURES)
-    assert len(problems) == expected_count
-    assert all(expected_file in problem for problem in problems)
-    first = problems[0]
-    path_part, line_part, text = first.split(":", 2)
-    assert path_part.endswith(expected_file)
-    assert int(line_part) > 0
-    assert text.strip()

@@ -257,56 +257,93 @@ class TestSubstitute:
         assert ir.substitute(body, {"other": ("rename", "z")}) is body
 
 
+def _count_fetches(monkeypatch):
+    """Count every fixed-offset fetch the interpreter issues."""
+    from repro.gpu import interpreter
+
+    calls = {"n": 0}
+    real = interpreter._fetch_static
+
+    def counting(texture, dx, dy, fast=False):
+        calls["n"] += 1
+        return real(texture, dx, dy, fast)
+
+    monkeypatch.setattr(interpreter, "_fetch_static", counting)
+    return calls
+
+
+def _twice_graph():
+    body = ir.add(ir.TexFetch("a", 1, 0), ir.TexFetch("a", 1, 0))
+    kernel = StreamKernel.from_expression("twice", body, inputs=("a",))
+    return StageGraph("g", inputs=("x",),
+                      steps=(Step(kernel, {"a": "x"}, "out"),),
+                      outputs=("out",))
+
+
+def _shared_fetch_graph(mix_offset=(0, 0)):
+    """x -> shift(0, 1) -> t; out = t(mix_offset) + x(0, 1).  With a
+    zero ``mix_offset`` the shift inlines into one part; otherwise it
+    stays a materialized part of the fused kernel."""
+    shift = StreamKernel.from_expression(
+        "shift", ir.TexFetch("a", 0, 1), inputs=("a",))
+    mix = StreamKernel.from_expression(
+        "mix", ir.add(ir.TexFetch("a", *mix_offset),
+                      ir.TexFetch("b", 0, 1)),
+        inputs=("a", "b"))
+    graph = StageGraph(
+        "g", inputs=("x",),
+        steps=(Step(shift, {"a": "x"}, "t"),
+               Step(mix, {"a": "t", "b": "x"}, "out")),
+        outputs=("out",))
+    fused = fuse_elementwise(graph)
+    assert fused.step_count() == 1
+    return fused
+
+
 class TestStructuralMemo:
     def test_equal_distinct_subtrees_fetch_once(self, rng, monkeypatch):
         """Two structurally equal (but distinct) offset fetches hit the
         texture unit once per launch — the id()-memo bug this release
         fixed."""
-        from repro.gpu import interpreter
-
-        calls = {"n": 0}
-        real = interpreter._fetch_static
-
-        def counting(texture, dx, dy, fast=False):
-            calls["n"] += 1
-            return real(texture, dx, dy, fast)
-
-        monkeypatch.setattr(interpreter, "_fetch_static", counting)
-        body = ir.add(ir.TexFetch("a", 1, 0), ir.TexFetch("a", 1, 0))
-        kernel = StreamKernel.from_expression("twice", body, inputs=("a",))
-        graph = StageGraph("g", inputs=("x",),
-                           steps=(Step(kernel, {"a": "x"}, "out"),),
-                           outputs=("out",))
+        calls = _count_fetches(monkeypatch)
         x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
-        CpuExecutor().run(graph, {"x": x})
+        CpuExecutor().run(_twice_graph(), {"x": x})
+        assert calls["n"] == 1
+
+    def test_equal_distinct_subtrees_fetch_once_on_device(self, rng,
+                                                          monkeypatch):
+        """The same pin through ``VirtualGPU.launch``: the compiled
+        plan's structural CSE keeps the two equal fetches on one
+        register."""
+        calls = _count_fetches(monkeypatch)
+        x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
+        GpuExecutor(VirtualGPU()).run(_twice_graph(), {"x": x})
         assert calls["n"] == 1
 
     def test_hoisting_across_fused_parts(self, rng, monkeypatch):
         """A fetch shared by two fused members evaluates once per fused
         launch instead of once per original pass."""
-        from repro.gpu import interpreter
-
-        calls = {"n": 0}
-        real = interpreter._fetch_static
-
-        def counting(texture, dx, dy, fast=False):
-            calls["n"] += 1
-            return real(texture, dx, dy, fast)
-
-        monkeypatch.setattr(interpreter, "_fetch_static", counting)
-        shift = StreamKernel.from_expression(
-            "shift", ir.TexFetch("a", 0, 1), inputs=("a",))
-        mix = StreamKernel.from_expression(
-            "mix", ir.add(ir.TexFetch("a"), ir.TexFetch("b", 0, 1)),
-            inputs=("a", "b"))
-        graph = StageGraph(
-            "g", inputs=("x",),
-            steps=(Step(shift, {"a": "x"}, "t"),
-                   Step(mix, {"a": "t", "b": "x"}, "out")),
-            outputs=("out",))
+        calls = _count_fetches(monkeypatch)
         x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
-        fused = fuse_elementwise(graph)
-        assert fused.step_count() == 1
-        CpuExecutor().run(fused, {"x": x})
+        CpuExecutor().run(_shared_fetch_graph(), {"x": x})
         # both members read x at (0, 1): one gather serves both parts
         assert calls["n"] == 1
+
+    def test_hoisting_across_fused_parts_on_device(self, rng, monkeypatch):
+        """The same pin through ``VirtualGPU.launch_fused``."""
+        calls = _count_fetches(monkeypatch)
+        x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
+        GpuExecutor(VirtualGPU()).run(_shared_fetch_graph(), {"x": x})
+        assert calls["n"] == 1
+
+    def test_hoisting_across_materialized_parts_on_device(self, rng,
+                                                          monkeypatch):
+        """With the shift kept as a materialized part, x(0, 1) is shared
+        *across* parts: one fetch for it plus one of the part at (1, 0)
+        — not three."""
+        fused = _shared_fetch_graph(mix_offset=(1, 0))
+        assert len(fused.steps[0].kernel.part_shaders) == 2
+        calls = _count_fetches(monkeypatch)
+        x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
+        GpuExecutor(VirtualGPU()).run(fused, {"x": x})
+        assert calls["n"] == 2

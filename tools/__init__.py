@@ -1,9 +1,6 @@
 """Repository tooling: lints, doc generators, and the reprolint suite.
 
 This package marker exists so ``python -m tools.reprolint`` works from
-the repository root.  The legacy single-file checkers
-``check_excepts.py`` and ``check_dispatch.py`` are deprecated thin
-wrappers — use ``python -m tools.reprolint --rules blanket-except`` /
-``--rules backend-dispatch`` instead; ``check_docs.py`` remains
-directly runnable as a script.
+the repository root; ``check_docs.py`` remains directly runnable as a
+script.
 """

@@ -1,6 +1,6 @@
 """backend-dispatch: backend name resolution stays in the registry.
 
-AST port of the original ``tools/check_dispatch.py`` regex.  Flags any
+AST port of the original ``check_dispatch`` regex scanner.  Flags any
 ``==`` / ``!=`` comparison whose operand is a name or attribute called
 ``backend`` (``backend``, ``config.backend``, ``args.backend``,
 ``self.backend``, ...) — the if/elif dispatch idiom the

@@ -1,6 +1,6 @@
 """blanket-except: arbitrary-failure absorption stays in the resilience layer.
 
-AST port of the original ``tools/check_excepts.py`` regex.  Matching
+AST port of the original ``check_excepts`` regex scanner.  Matching
 ``ast.ExceptHandler`` nodes instead of text means a literal
 ``"except Exception:"`` inside a string, comment or docstring can no
 longer false-positive, and a blanket name buried in a tuple clause
