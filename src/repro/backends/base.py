@@ -131,18 +131,6 @@ class MorphologicalBackend:
     #: neighbouring chunk already owns.
     accepts_halo_margins: bool = False
 
-    def configured(self, *, optimize: str = "fuse"
-                   ) -> "MorphologicalBackend":
-        """A backend instance with execution knobs applied.
-
-        Registered backends are shared singletons, so knob application
-        returns a (possibly new) instance instead of mutating.  The
-        base implementation ignores every knob — correct for backends
-        with no fused path, where ``optimize`` selects between
-        bit-identical strategies that do not exist.
-        """
-        return self
-
     def run(self, bip: np.ndarray, radius: int, *, spec=None,
             device=None) -> MorphologyResult:
         """Run the morphological stage on a whole (H, W, N) image.

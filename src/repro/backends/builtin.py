@@ -22,32 +22,22 @@ class ReferenceBackend(MorphologicalBackend):
     """``reference`` — the vectorized float64 NumPy implementation
     (:func:`repro.core.mei.mei_reference`), the production CPU path.
 
-    Runs the shift-reuse engine by default (one SID map per unique
-    offset difference — see :mod:`repro.core.pairreuse`); construct
-    with ``method="pairs"`` to opt out into the all-pairs loop.  Both
-    are bit-identical; the reuse accounting rides along in
+    Runs the shift-reuse engine (one SID map per unique offset
+    difference — see :mod:`repro.core.pairreuse`), bit-identical to the
+    all-pairs oracle :func:`repro.core.mei.mei_all_pairs`; the reuse
+    accounting rides along in
     :attr:`~repro.backends.base.MorphologyResult.stats`.
     """
 
     name = "reference"
     accepts_halo_margins = True
 
-    def __init__(self, method: str = "shift",
-                 optimize: str = "fuse") -> None:
-        self.method = method
-        self.optimize = optimize
-
-    def configured(self, *, optimize: str = "fuse"):
-        """Same method, requested ``optimize`` mode."""
-        return ReferenceBackend(method=self.method, optimize=optimize)
-
     def run(self, bip, radius, *, spec=None, device=None):
         """Whole-image morphological stage via the vectorized pair
         maps."""
         from repro.core.mei import mei_reference
 
-        out = mei_reference(bip, radius, method=self.method,
-                            optimize=self.optimize)
+        out = mei_reference(bip, radius)
         stats = None if out.stats is None else out.stats.as_counters()
         return MorphologyResult(mei=out.mei,
                                 erosion_index=out.erosion_index,
@@ -59,17 +49,14 @@ class ReferenceBackend(MorphologicalBackend):
         """One halo-extended chunk, with cross-chunk shift-reuse.
 
         ``halo_margins`` names the extended-region rows the stitcher
-        will discard (a neighbouring chunk owns them); the fused engine
-        skips border corrections confined to those rows and counts them
-        as ``border_pixels_shared``.  Core rows are bit-identical
-        either way.
+        will discard (a neighbouring chunk owns them); the engine skips
+        border corrections confined to those rows and counts them as
+        ``border_pixels_shared``.  Core rows are bit-identical to a
+        whole-image run.
         """
         from repro.core.mei import mei_reference
 
-        out = mei_reference(bip, radius, method=self.method,
-                            optimize=self.optimize,
-                            halo_margins=halo_margins
-                            if self.optimize == "fuse" else (0, 0))
+        out = mei_reference(bip, radius, halo_margins=halo_margins)
         stats = None if out.stats is None else out.stats.as_counters()
         return ChunkResult(mei=out.mei.astype(self.mei_dtype, copy=False),
                            erosion_index=out.erosion_index,
@@ -102,22 +89,13 @@ class GpuBackend(MorphologicalBackend):
     supports_device_unmixing = True
     supports_trace = True
 
-    def __init__(self, optimize: str = "fuse") -> None:
-        self.optimize = optimize
-
-    def configured(self, *, optimize: str = "fuse"):
-        """A backend whose boards run in the requested ``optimize``
-        mode."""
-        return GpuBackend(optimize=optimize)
-
     def _resolve_device(self, spec, device):
         if device is not None:
             return device
         from repro.gpu.device import VirtualGPU
         from repro.gpu.spec import GEFORCE_7800GTX
 
-        return VirtualGPU(GEFORCE_7800GTX if spec is None else spec,
-                          optimize=self.optimize)
+        return VirtualGPU(GEFORCE_7800GTX if spec is None else spec)
 
     def run(self, bip, radius, *, spec=None, device=None):
         """Whole-image stream pipeline on one virtual board.

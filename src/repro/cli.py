@@ -155,8 +155,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     config = AMCConfig(n_classes=args.classes, se_radius=args.radius,
                        backend=args.backend, n_workers=workers,
                        max_retries=args.retries,
-                       chunk_timeout_s=args.chunk_timeout_s,
-                       optimize=getattr(args, "optimize", "fuse"))
+                       chunk_timeout_s=args.chunk_timeout_s)
     if len(args.path) > 1:
         if args.trace:
             print("--trace requires a single cube path",
@@ -176,7 +175,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             return 2
         from repro.gpu import VirtualGPU
 
-        device = VirtualGPU(config.gpu_spec, optimize=config.optimize)
+        device = VirtualGPU(config.gpu_spec)
     profiler = None
     if args.profile is not None:
         from repro.profiling import Profiler
@@ -528,13 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-chunk deadline when collecting pool "
                           "results; needed to detect crashed workers "
                           "(lost chunks are recomputed in-process)")
-    cls.add_argument("--optimize", choices=("fuse", "none"),
-                     default="fuse",
-                     help="execution mode: 'fuse' runs the fused fast "
-                          "paths (pass fusion, strided fetches, "
-                          "cross-chunk border sharing), 'none' the "
-                          "historical per-pass oracle; results are "
-                          "bit-identical")
     cls.add_argument("--on-error", choices=("raise", "skip", "collect"),
                      default="raise",
                      help="batch mode: what one failing cube does — "

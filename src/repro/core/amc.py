@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.amc_gpu import GpuAmcOutput
 from repro.core.endmembers import EndmemberSet
 from repro.core.metrics import ClassificationReport
-from repro.core.pairreuse import check_optimize
 from repro.core.unmixing import UNMIXERS
 from repro.errors import ShapeError, ValidationError
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
@@ -112,17 +111,8 @@ class AMCConfig:
     #: that died mid-chunk (the pool silently drops its task), after
     #: which the chunk is recomputed in-process.
     chunk_timeout_s: float | None = None
-    #: ``"fuse"`` (the default) runs every backend through its fused
-    #: fast paths — the reference engine's region-wise accumulation and
-    #: cross-chunk border sharing, the virtual board's composite
-    #: evaluation with strided fetches and elided temporaries.
-    #: ``"none"`` keeps the historical per-pass execution as the
-    #: bit-identity oracle.  Results are byte-identical either way, so
-    #: this is an execution knob (excluded from cache keys).
-    optimize: str = "fuse"
 
     def __post_init__(self) -> None:
-        check_optimize(self.optimize)
         if self.endmember_source not in ("dilation", "center"):
             raise ValidationError(
                 f"endmember_source must be 'dilation' or 'center', got "

@@ -21,17 +21,16 @@ oracle, GPU):
 * argmin/argmax break ties by the lowest neighbour index (row-major
   order of the SE).
 
-Two execution strategies produce bit-identical results:
-
-* ``method="shift"`` (the default) — the shift-reuse engine of
-  :mod:`repro.core.pairreuse`: one full-image SID map per *unique
-  offset difference* (``((4r+1)^2 - 1)/2`` maps), every pair map a
-  shifted view plus a recomputed border band, and a lazy MEI gather
-  over only the (erosion, dilation) pairs that occur;
-* ``method="pairs"`` — the historical all-pairs loop, one full-image
-  map per unordered SE-offset pair (``K(K-1)/2`` maps) via the
-  cross-entropy decomposition; kept as the opt-out oracle the reuse
-  path is pinned against.
+The production path is the shift-reuse engine of
+:mod:`repro.core.pairreuse`: one full-image SID map per *unique offset
+difference* (``((4r+1)^2 - 1)/2`` maps), every pair map a shifted view
+plus a recomputed border band, and a sorted MEI gather over only the
+(erosion, dilation) pairs that occur.  :func:`mei_all_pairs` keeps the
+historical all-pairs loop — one full-image map per unordered SE-offset
+pair (``K(K-1)/2`` maps) via the cross-entropy decomposition — as the
+bit-identity oracle the engine is pinned against;
+:func:`repro.core.naive.mei_naive` is the independent float-tolerance
+oracle.
 """
 
 from __future__ import annotations
@@ -41,16 +40,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.pairreuse import (PairReuseEngine, PairReuseStats,
-                                  check_optimize, gather_mei)
+from repro.core.pairreuse import PairReuseEngine, PairReuseStats, gather_mei
 from repro.core.shifts import clamped_shift
 from repro.errors import ShapeError, ValidationError
 from repro.spectral.distances import sid_self_entropy
 from repro.spectral.normalize import normalize_image, safe_log
-
-#: Execution strategies of :func:`cumulative_distances` /
-#: :func:`mei_reference`.
-MEI_METHODS = ("shift", "pairs")
 
 
 @lru_cache(maxsize=64)
@@ -65,12 +59,6 @@ def se_offsets(radius: int) -> tuple[tuple[int, int], ...]:
     return tuple((dy, dx)
                  for dy in range(-radius, radius + 1)
                  for dx in range(-radius, radius + 1))
-
-
-def _check_method(method: str) -> None:
-    if method not in MEI_METHODS:
-        raise ValidationError(
-            f"method must be one of {MEI_METHODS}, got {method!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +80,8 @@ class MorphologicalOutput:
         The SE radius used.
     stats:
         :class:`~repro.core.pairreuse.PairReuseStats` of the shift-reuse
-        engine when it ran (``method="shift"``), else ``None``.
+        engine; ``None`` for outputs the engine did not produce (the
+        all-pairs oracle, the CPU build models).
     """
 
     mei: np.ndarray
@@ -113,11 +102,123 @@ class MorphologicalOutput:
         return offs[self.dilation_index]
 
 
-def _pair_maps_loop(normalized: np.ndarray, offsets, log_img: np.ndarray,
-                    entropy: np.ndarray, *, keep_maps: bool):
-    """The all-pairs loop: one cross-entropy evaluation per unordered
-    SE-offset pair, with cached shifted views."""
+def _prepare(cube_bip: np.ndarray, prenormalized: bool):
+    """Normalized float64 image, its log and its self-entropy."""
+    cube_bip = np.asarray(cube_bip)
+    if cube_bip.ndim != 3:
+        raise ShapeError(f"expected (H, W, N), got ndim={cube_bip.ndim}")
+    normalized = cube_bip.astype(np.float64) if prenormalized \
+        else normalize_image(cube_bip)
+    # normalize_image preserves float32 inputs; the reference pair maps
+    # have always been computed in float64 (the historical cast at the
+    # cumulative_distances entry), so cast *before* taking logs.
+    normalized = np.asarray(normalized, dtype=np.float64)
+    return normalized, safe_log(normalized), sid_self_entropy(normalized)
+
+
+def cumulative_distances(normalized: np.ndarray, radius: int = 1,
+                         *, return_pair_maps: bool = False):
+    """Cumulative SID distance of every SE neighbour at every pixel.
+
+    Parameters
+    ----------
+    normalized:
+        (H, W, N) image, pixel vectors already normalized to unit sum
+        (eq. 3-4).  Use :func:`repro.spectral.normalize.normalize_image`.
+    radius:
+        SE radius (paper: 1, i.e. a 3x3 window).
+    return_pair_maps:
+        Also return the dict of per-pair SID maps keyed by ``(ka, kb)``
+        with ``ka < kb``.  This materializes all ``K(K-1)/2`` maps
+        (callers that only need the occurring pairs should use the
+        engine's lazy :meth:`~repro.core.pairreuse.\
+PairReuseEngine.pair_map` instead).
+
+    Returns
+    -------
+    numpy.ndarray [, dict]
+        (H, W, K) array where slot ``k`` holds
+        ``D_B[f(x + a_k)] = sum_b SID(f(x + a_k), f(x + b))`` with all
+        coordinates clamped to the image.
+    """
+    normalized = np.asarray(normalized, dtype=np.float64)
+    if normalized.ndim != 3:
+        raise ShapeError(f"expected (H, W, N), got ndim={normalized.ndim}")
+    offsets = se_offsets(radius)
+    engine = PairReuseEngine(normalized, offsets)
+    cumulative = engine.accumulate_cumulative()
+    if not return_pair_maps:
+        return cumulative
+    k_count = len(offsets)
+    pair_maps = {(ka, kb): engine.pair_map(ka, kb)
+                 for ka in range(k_count)
+                 for kb in range(ka + 1, k_count)}
+    return cumulative, pair_maps
+
+
+def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
+                  prenormalized: bool = False,
+                  halo_margins: tuple[int, int] = (0, 0)
+                  ) -> MorphologicalOutput:
+    """Full morphological stage on the CPU (vectorized reference).
+
+    Parameters
+    ----------
+    cube_bip:
+        (H, W, N) image cube; raw radiance unless ``prenormalized``.
+    radius:
+        SE radius.
+    prenormalized:
+        Skip eq. 3-4 normalization when the caller already applied it.
+    halo_margins:
+        ``(top, bottom)`` rows that are this image's discarded chunk
+        halo — a neighbouring chunk owns them.  Border bands falling
+        entirely inside a margin are skipped and counted as
+        ``border_pixels_shared``; **the returned arrays are then only
+        valid outside the margins** (the chunk stitcher discards the
+        rest).  Must be ``(0, 0)`` — the default — everywhere else.
+
+    Returns
+    -------
+    MorphologicalOutput
+    """
+    normalized, log_img, entropy = _prepare(cube_bip, prenormalized)
+    engine = PairReuseEngine(normalized, se_offsets(radius),
+                             log_img=log_img, entropy=entropy,
+                             halo_margins=halo_margins)
+    cumulative = engine.accumulate_cumulative()
+    erosion_index = np.argmin(cumulative, axis=2)
+    dilation_index = np.argmax(cumulative, axis=2)
+    # MEI(x) = SID(f(x + a_dil), f(x + a_ero)) — exactly the pair map of
+    # the (erosion, dilation) index pair, gathered per pixel for the
+    # pairs that actually occur.
+    mei, gathered = engine.gather_mei_fast(erosion_index, dilation_index)
+    engine.count_mei_pairs(gathered)
+    return MorphologicalOutput(mei=mei, erosion_index=erosion_index,
+                               dilation_index=dilation_index,
+                               cumulative=cumulative, radius=radius,
+                               stats=engine.stats())
+
+
+def mei_all_pairs(cube_bip: np.ndarray, radius: int = 1, *,
+                  prenormalized: bool = False):
+    """The all-pairs oracle of :func:`mei_reference`.
+
+    The historical loop: one cross-entropy evaluation per unordered
+    SE-offset pair over fancy-indexed clamped shifts, accumulated in
+    lexicographic pair order, then the mask-scan :func:`gather_mei`.
+    :func:`mei_reference` must reproduce its outputs byte for byte; the
+    test suite and the ``morph`` bench record call it directly.
+
+    Returns
+    -------
+    tuple[MorphologicalOutput, dict]
+        The stage output (``stats`` is ``None``) and the ``K(K-1)/2``
+        pair maps keyed by ``(ka, kb)`` with ``ka < kb``.
+    """
+    normalized, log_img, entropy = _prepare(cube_bip, prenormalized)
     h, w, _ = normalized.shape
+    offsets = se_offsets(radius)
     k_count = len(offsets)
     shifted_p = [clamped_shift(normalized, dy, dx) for dy, dx in offsets]
     shifted_l = [clamped_shift(log_img, dy, dx) for dy, dx in offsets]
@@ -134,161 +235,13 @@ def _pair_maps_loop(normalized: np.ndarray, offsets, log_img: np.ndarray,
             sid_map = np.maximum(ha + hb - cross, 0.0)
             cumulative[:, :, ka] += sid_map
             cumulative[:, :, kb] += sid_map
-            if keep_maps:
-                pair_maps[(ka, kb)] = sid_map
-    return cumulative, pair_maps
-
-
-def cumulative_distances(normalized: np.ndarray, radius: int = 1,
-                         *, return_pair_maps: bool = False,
-                         method: str = "shift", optimize: str = "fuse"):
-    """Cumulative SID distance of every SE neighbour at every pixel.
-
-    Parameters
-    ----------
-    normalized:
-        (H, W, N) image, pixel vectors already normalized to unit sum
-        (eq. 3-4).  Use :func:`repro.spectral.normalize.normalize_image`.
-    radius:
-        SE radius (paper: 1, i.e. a 3x3 window).
-    return_pair_maps:
-        Also return the dict of per-pair SID maps keyed by ``(ka, kb)``
-        with ``ka < kb``.  On the shift path this materializes all
-        ``K(K-1)/2`` maps (callers that only need the occurring pairs
-        should use the engine's lazy :meth:`~repro.core.pairreuse.\
-PairReuseEngine.pair_map` instead, as :func:`mei_reference` does).
-    method:
-        ``"shift"`` (default) evaluates one map per unique offset
-        difference and shifts it into every pair (bit-identical);
-        ``"pairs"`` runs the historical all-pairs loop.
-    optimize:
-        ``"fuse"`` (default) runs the shift engine's fused fast path
-        (region accumulation, strided shifted copies); ``"none"``
-        keeps the historical engine paths.  Byte-identical either way;
-        ignored by ``method="pairs"``.
-
-    Returns
-    -------
-    numpy.ndarray [, dict]
-        (H, W, K) array where slot ``k`` holds
-        ``D_B[f(x + a_k)] = sum_b SID(f(x + a_k), f(x + b))`` with all
-        coordinates clamped to the image.
-    """
-    _check_method(method)
-    check_optimize(optimize)
-    normalized = np.asarray(normalized, dtype=np.float64)
-    if normalized.ndim != 3:
-        raise ShapeError(f"expected (H, W, N), got ndim={normalized.ndim}")
-    offsets = se_offsets(radius)
-
-    log_img = safe_log(normalized)
-    entropy = sid_self_entropy(normalized)
-
-    if method == "pairs":
-        cumulative, pair_maps = _pair_maps_loop(
-            normalized, offsets, log_img, entropy,
-            keep_maps=return_pair_maps)
-    else:
-        engine = PairReuseEngine(normalized, offsets, log_img=log_img,
-                                 entropy=entropy, optimize=optimize)
-        cumulative = engine.accumulate_cumulative()
-        pair_maps = {}
-        if return_pair_maps:
-            k_count = len(offsets)
-            pair_maps = {(ka, kb): engine.pair_map(ka, kb)
-                         for ka in range(k_count)
-                         for kb in range(ka + 1, k_count)}
-    if return_pair_maps:
-        return cumulative, pair_maps
-    return cumulative
-
-
-def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
-                  prenormalized: bool = False,
-                  method: str = "shift", optimize: str = "fuse",
-                  halo_margins: tuple[int, int] = (0, 0)
-                  ) -> MorphologicalOutput:
-    """Full morphological stage on the CPU (vectorized reference).
-
-    Parameters
-    ----------
-    cube_bip:
-        (H, W, N) image cube; raw radiance unless ``prenormalized``.
-    radius:
-        SE radius.
-    prenormalized:
-        Skip eq. 3-4 normalization when the caller already applied it.
-    method:
-        ``"shift"`` (default) runs the
-        :class:`~repro.core.pairreuse.PairReuseEngine` fast path;
-        ``"pairs"`` the all-pairs loop.  Bit-identical outputs either
-        way.
-    optimize:
-        ``"fuse"`` (default) enables the engine's fused fast paths
-        (region accumulation, strided shifted copies, the sorted MEI
-        gather); ``"none"`` keeps the historical engine paths.
-        Byte-identical either way; ignored by ``method="pairs"``.
-    halo_margins:
-        ``(top, bottom)`` rows that are this image's discarded chunk
-        halo — a neighbouring chunk owns them.  On the fused path,
-        border bands falling entirely inside a margin are skipped and
-        counted as ``border_pixels_shared``; **the returned arrays are
-        then only valid outside the margins** (the chunk stitcher
-        discards the rest).  Must be ``(0, 0)`` — the default —
-        everywhere else.
-
-    Returns
-    -------
-    MorphologicalOutput
-    """
-    _check_method(method)
-    check_optimize(optimize)
-    cube_bip = np.asarray(cube_bip)
-    if cube_bip.ndim != 3:
-        raise ShapeError(f"expected (H, W, N), got ndim={cube_bip.ndim}")
-    normalized = cube_bip.astype(np.float64) if prenormalized \
-        else normalize_image(cube_bip)
-    # normalize_image preserves float32 inputs; the reference pair maps
-    # have always been computed in float64 (the historical cast at the
-    # cumulative_distances entry), so cast *before* taking logs.
-    normalized = np.asarray(normalized, dtype=np.float64)
-
-    offsets = se_offsets(radius)
-    k_count = len(offsets)
-    log_img = safe_log(normalized)
-    entropy = sid_self_entropy(normalized)
-
-    engine: PairReuseEngine | None = None
-    if method == "pairs":
-        cumulative, pair_maps = _pair_maps_loop(
-            normalized, offsets, log_img, entropy, keep_maps=True)
-
-        def pair_map(ka: int, kb: int) -> np.ndarray:
-            return pair_maps[(ka, kb)]
-    else:
-        engine = PairReuseEngine(normalized, offsets, log_img=log_img,
-                                 entropy=entropy, optimize=optimize,
-                                 halo_margins=halo_margins)
-        cumulative = engine.accumulate_cumulative()
-        pair_map = engine.pair_map
+            pair_maps[(ka, kb)] = sid_map
 
     erosion_index = np.argmin(cumulative, axis=2)
     dilation_index = np.argmax(cumulative, axis=2)
-
-    # MEI(x) = SID(f(x + a_dil), f(x + a_ero)) — exactly the pair map of
-    # the (erosion, dilation) index pair, gathered per pixel for the
-    # pairs that actually occur.
-    if engine is not None and optimize == "fuse":
-        mei, gathered = engine.gather_mei_fast(erosion_index,
-                                               dilation_index)
-    else:
-        mei, gathered = gather_mei(erosion_index, dilation_index,
-                                   pair_map, k_count)
-    stats = None
-    if engine is not None:
-        engine.count_mei_pairs(gathered)
-        stats = engine.stats()
-    return MorphologicalOutput(mei=mei, erosion_index=erosion_index,
-                               dilation_index=dilation_index,
-                               cumulative=cumulative, radius=radius,
-                               stats=stats)
+    mei, _ = gather_mei(erosion_index, dilation_index,
+                        lambda ka, kb: pair_maps[(ka, kb)], k_count)
+    out = MorphologicalOutput(mei=mei, erosion_index=erosion_index,
+                              dilation_index=dilation_index,
+                              cumulative=cumulative, radius=radius)
+    return out, pair_maps

@@ -44,14 +44,14 @@ historical operands exactly (for contiguous inputs — the common case —
 the operand classes coincide and those pairs ride the reuse path
 free: a zero base shift has no border band at all).
 
-:class:`PairReuseEngine` is the workhorse;
+:class:`PairReuseEngine` is the workhorse behind
 :func:`repro.core.mei.cumulative_distances` and
-:func:`~repro.core.mei.mei_reference` use it by default
-(``method="shift"``), with the all-pairs loop kept as the opt-out
-oracle (``method="pairs"``).  :func:`gather_mei` is the lazy MEI
-gather shared by the reference and the CPU build models: instead of
-looping all ``K(K-1)/2`` masks it materializes only the (erosion,
-dilation) pairs that actually occur in the image.
+:func:`~repro.core.mei.mei_reference`; the all-pairs loop
+(:func:`repro.core.mei.mei_all_pairs`) is the bit-identity oracle the
+tests pin it against.  :func:`gather_mei` is the lazy MEI gather the
+oracle and the CPU build models share: instead of looping all
+``K(K-1)/2`` masks it materializes only the (erosion, dilation) pairs
+that actually occur in the image.
 """
 
 from __future__ import annotations
@@ -67,22 +67,6 @@ from repro.spectral.distances import sid_self_entropy
 from repro.spectral.normalize import safe_log
 
 Offset = tuple[int, int]
-
-#: Optimization levels shared by every layer that exposes the knob
-#: (engine, :func:`repro.core.mei.mei_reference`, the workload configs):
-#: ``"fuse"`` (default) enables the fused fast paths — strided shifted
-#: copies, region-wise accumulation without per-pair map
-#: materialization, the sorted MEI gather, and cross-chunk border
-#: sharing; ``"none"`` is the bit-identical oracle that executes the
-#: historical (post-shift-reuse) code paths unchanged.
-OPTIMIZE_MODES = ("fuse", "none")
-
-
-def check_optimize(optimize: str) -> None:
-    """Validate an ``optimize`` knob value (shared by all layers)."""
-    if optimize not in OPTIMIZE_MODES:
-        raise ValidationError(
-            f"optimize must be one of {OPTIMIZE_MODES}, got {optimize!r}")
 
 
 def unique_difference_offsets(
@@ -195,19 +179,12 @@ class PairReuseEngine:
         Optional precomputed ``safe_log(normalized)`` and
         ``sid_self_entropy(normalized)`` so callers that already hold
         them (the reference, the CPU build models) pay no re-log.
-    optimize:
-        ``"fuse"`` (default) routes :meth:`accumulate_cumulative`
-        through the fused fast path — strided shifted copies, region
-        adds that never materialize a per-pair map, a shared
-        border-band cache — and enables :meth:`gather_mei_fast`;
-        ``"none"`` executes the historical shift-reuse paths unchanged
-        (the bit-identity oracle).  Both produce byte-identical output.
     halo_margins:
         ``(top, bottom)`` image rows that belong to a neighbouring
         chunk's core (this chunk's discarded halo).  Border bands that
-        lie entirely inside a margin are skipped on the fused path —
-        the neighbour computes those pixels once, inside its own
-        interior — and counted as ``border_pixels_shared``.  The
+        lie entirely inside a margin are skipped — the neighbour
+        computes those pixels once, inside its own interior — and
+        counted as ``border_pixels_shared``.  The
         cumulative values of margin rows are then partial; callers must
         discard them (the chunk stitcher does).
 
@@ -221,9 +198,7 @@ class PairReuseEngine:
     def __init__(self, normalized: np.ndarray, offsets: Iterable[Offset],
                  *, log_img: np.ndarray | None = None,
                  entropy: np.ndarray | None = None,
-                 optimize: str = "fuse",
                  halo_margins: tuple[int, int] = (0, 0)) -> None:
-        check_optimize(optimize)
         normalized = np.asarray(normalized, dtype=np.float64)
         if normalized.ndim != 3:
             raise ShapeError(
@@ -244,7 +219,6 @@ class PairReuseEngine:
         self._zero_reusable = (self._p is self._p_raw
                                and self._l is self._l_raw)
         self.offsets = tuple(offsets)
-        self.optimize = optimize
         top_m, bottom_m = halo_margins
         if top_m < 0 or bottom_m < 0:
             raise ValidationError(
@@ -277,11 +251,10 @@ class PairReuseEngine:
         dy, dx = d
         # shifted_copy produces byte-identical values in byte-identical
         # layout (fresh C-contiguous), just without the fancy-indexing
-        # gather; the oracle keeps the historical gather.
-        shift = shifted_copy if self.optimize == "fuse" else clamped_shift
-        p_d = shift(self._p, dy, dx)
-        l_d = shift(self._l, dy, dx)
-        h_d = shift(self._h, dy, dx)
+        # gather the all-pairs oracle uses.
+        p_d = shifted_copy(self._p, dy, dx)
+        l_d = shifted_copy(self._l, dy, dx)
+        h_d = shifted_copy(self._h, dy, dx)
         # Same arithmetic as the all-pairs reference with a = 0, b = d:
         # cross = (p_a . l_b) + (p_b . l_a); sid = max(h_a + h_b -
         # cross, 0).
@@ -320,27 +293,12 @@ class PairReuseEngine:
         self._bands[key] = band
         return band
 
-    def _recompute_band(self, pair_map: np.ndarray, ka: int, kb: int,
-                        axis: int, lo: int, hi: int) -> None:
-        """Overwrite one border band of ``pair_map`` with the exact
-        per-pair arithmetic (where the shifted view is wrong)."""
-        pa, la, ha = self._band(ka, axis, lo, hi)
-        pb, lb, hb = self._band(kb, axis, lo, hi)
-        cross = np.einsum("ijk,ijk->ij", pa, lb) \
-            + np.einsum("ijk,ijk->ij", pb, la)
-        sid_band = np.maximum(ha + hb - cross, 0.0)
-        if axis == 0:
-            pair_map[lo:hi, :] = sid_band
-        else:
-            pair_map[:, lo:hi] = sid_band
-        self._border_pixels += sid_band.size
-
     def _sid_band(self, ka: int, kb: int, axis: int, lo: int,
                   hi: int) -> np.ndarray:
         """Cached SID values of one border band of pair ``(ka, kb)`` —
-        the same arithmetic :meth:`_recompute_band` applies, kept as an
-        array so the fused accumulate and the fused MEI gather share
-        one evaluation per band."""
+        the per-pair arithmetic of the all-pairs loop, kept as an array
+        so accumulation, :meth:`pair_map` and the MEI gather share one
+        evaluation per band."""
         key = (ka, kb, axis, lo, hi)
         cached = self._sid_bands.get(key)
         if cached is not None:
@@ -438,73 +396,47 @@ class PairReuseEngine:
         (interior: one basic-slice copy), with the border bands
         recomputed; on non-contiguous inputs, pairs involving the zero
         offset take the direct path.  Read-only: repeated calls may
-        alias caches.
+        alias caches.  Only valid outside any declared halo margins.
         """
         a = self.offsets[ka]
         b = self.offsets[kb]
         self._pair_maps += 1
         if not self._zero_reusable and (a == (0, 0) or b == (0, 0)):
             return self._direct_pair(ka, kb)
-        base = self.difference_map((b[0] - a[0], b[1] - a[1]))
+        if a == (0, 0):
+            return self.difference_map(b)
+        base, (ry0, ry1, cx0, cx1), row_band, col_band = \
+            self._pair_regions(ka, kb)
         ay, ax = a
-        if ay == 0 and ax == 0:
-            return base
-        h, w = self._shape
-        out = np.empty_like(base)
-        # Interior — where the base shift stays in range and the
-        # translation identity holds: a plain strided copy.
-        ry0, ry1 = max(0, -ay), h - max(0, ay)
-        cx0, cx1 = max(0, -ax), w - max(0, ax)
+        out = np.zeros_like(base)
         if ry0 < ry1 and cx0 < cx1:
             out[ry0:ry1, cx0:cx1] = \
                 base[ry0 + ay:ry1 + ay, cx0 + ax:cx1 + ax]
-        # Border bands — clamp-to-edge broke the identity there.  The
-        # bounds are clipped for images narrower than the shift, where
-        # the whole extent is border.
-        if ay > 0:
-            self._recompute_band(out, ka, kb, 0, max(0, ry1), h)
-        elif ay < 0:
-            self._recompute_band(out, ka, kb, 0, 0, min(ry0, h))
-        if ax > 0:
-            self._recompute_band(out, ka, kb, 1, max(0, cx1), w)
-        elif ax < 0:
-            self._recompute_band(out, ka, kb, 1, 0, min(cx0, w))
+        if row_band is not None:
+            lo, hi, values = row_band
+            out[lo:hi, :] = values
+        if col_band is not None:
+            lo, hi, values = col_band
+            out[:, lo:hi] = values
         return out
 
     def accumulate_cumulative(self) -> np.ndarray:
         """(H, W, K) cumulative distances, accumulated pair by pair in
         the same lexicographic order (hence bit-identically) as the
-        all-pairs reference.
+        all-pairs loop.
 
         Accumulation runs in a (K, H, W) scratch so every add hits a
         contiguous slab; per-element float addition is layout-blind, so
-        the transposed result is still bit-identical.
-
-        On the fused path (``optimize="fuse"``) no per-pair map is
-        materialized at all: each pair's three regions — interior
-        (a strided slice of the cached difference map), row band, col
+        the transposed result is still bit-identical.  No per-pair map
+        is materialized: each pair's three regions — interior (a
+        strided slice of the cached difference map), row band, col
         band — are added straight into the scratch.  Every element
-        still receives exactly one addition of exactly the same value
-        per pair, in the same pair order, so the result is
-        byte-identical to the materializing path.
+        still receives exactly one addition of exactly the pair map's
+        value per pair, in the same pair order.
         """
         h, w = self._shape
         k_count = len(self.offsets)
         scratch = np.zeros((k_count, h, w), dtype=np.float64)
-        if self.optimize == "fuse":
-            self._accumulate_fast(scratch)
-        else:
-            for ka in range(k_count):
-                for kb in range(ka + 1, k_count):
-                    sid_map = self.pair_map(ka, kb)
-                    np.add(scratch[ka], sid_map, out=scratch[ka])
-                    np.add(scratch[kb], sid_map, out=scratch[kb])
-        return np.ascontiguousarray(scratch.transpose(1, 2, 0))
-
-    def _accumulate_fast(self, scratch: np.ndarray) -> None:
-        """Region-wise pair accumulation — the fused fast path."""
-        h, w = self._shape
-        k_count = len(self.offsets)
         for ka in range(k_count):
             a = self.offsets[ka]
             for kb in range(ka + 1, k_count):
@@ -540,11 +472,12 @@ class PairReuseEngine:
                         lo, hi, values = col_band
                         region = tgt[:, lo:hi]
                         np.add(region, values, out=region)
+        return np.ascontiguousarray(scratch.transpose(1, 2, 0))
 
     def gather_mei_fast(self, erosion_index: np.ndarray,
                         dilation_index: np.ndarray
                         ) -> tuple[np.ndarray, int]:
-        """Fused equivalent of :func:`gather_mei`: one stable argsort
+        """Sorted equivalent of :func:`gather_mei`: one stable argsort
         over the packed pair codes, then per-segment pointwise reads of
         the pair map's three regions — no per-code boolean mask scans
         and no materialized pair maps.

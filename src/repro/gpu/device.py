@@ -13,17 +13,22 @@ counters; it exposes the four verbs of GPGPU programming circa 2005:
 Launch results are written into a target texture, so ping-pong chains
 (output of one kernel feeding the next) work the way they do with
 framebuffer objects on real hardware.
+
+Every launch runs the shader's compiled plan with strided fixed-offset
+fetches and broadcasts the result straight into the target, so the
+interpreter's scratch temporary is elided.  The recursive evaluator
+:func:`repro.gpu.interpreter.execute` is the oracle the tests compare
+this path against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pairreuse import check_optimize
 from repro.errors import ShaderError
 from repro.gpu.cost import CostModel
 from repro.gpu.counters import GpuCounters, KernelLaunchRecord, TransferRecord
-from repro.gpu.interpreter import execute, execute_fused_lazy, execute_lazy
+from repro.gpu.interpreter import execute_fused_lazy, execute_lazy
 from repro.gpu.memory import VramAllocator
 from repro.gpu.shader import FragmentShader
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
@@ -38,15 +43,6 @@ class VirtualGPU:
     spec:
         The board to simulate; defaults to the paper's flagship
         (GeForce 7800 GTX).
-    optimize:
-        ``"fuse"`` (default) runs launches through the interpreter's
-        fast path — each shader's compiled plan, strided fixed-offset
-        fetches, the per-launch scratch temporary elided (results
-        broadcast straight into the target texture).  ``"none"`` runs
-        the recursive reference evaluator as the bit-identity oracle.
-        Texel values, launch records and modeled times are identical
-        either way; kernel costs come from the shader's cached static
-        cost in both modes.
 
     Notes
     -----
@@ -56,11 +52,8 @@ class VirtualGPU:
     given spec would take for the recorded work.
     """
 
-    def __init__(self, spec: GpuSpec = GEFORCE_7800GTX, *,
-                 optimize: str = "fuse"):
-        check_optimize(optimize)
+    def __init__(self, spec: GpuSpec = GEFORCE_7800GTX):
         self.spec = spec
-        self.optimize = optimize
         self.vram = VramAllocator(spec.vram_bytes)
         self.cost_model = CostModel(spec)
         self.counters = GpuCounters()
@@ -110,23 +103,18 @@ class VirtualGPU:
         """Run a fragment program over ``target``'s extents.
 
         All bound textures must be device-resident (uploaded or rendered
-        on this device).  The result overwrites ``target.data`` and the
-        launch is appended to the counters.
+        on this device).  The shader runs as its compiled plan
+        (:func:`~repro.gpu.interpreter.execute_lazy`); the result
+        overwrites ``target.data`` and the launch is appended to the
+        counters.
         """
         self._check_bindings(shader.name, target, textures)
         arrays = {name: tex.data for name, tex in textures.items()}
-        if self.optimize == "fuse":
-            # The compiled plan's raw result broadcasts straight into the
-            # target — the interpreter's full-extent scratch copy never
-            # exists.
-            result = execute_lazy(shader, target.height, target.width,
-                                  arrays, uniforms, fast_fetch=True)
-            target.data[...] = result
-            self.counters.record_fusion(temporaries_elided=1)
-        else:
-            result = execute(shader, target.height, target.width, arrays,
-                             uniforms)
-            target.data[...] = result
+        # The plan's raw result broadcasts straight into the target — the
+        # interpreter's full-extent scratch copy never exists.
+        target.data[...] = execute_lazy(shader, target.height, target.width,
+                                        arrays, uniforms)
+        self.counters.record_fusion(temporaries_elided=1)
 
         cost, timing = self.cost_model.launch_time(
             shader, target.width, target.height)
@@ -174,23 +162,18 @@ class VirtualGPU:
         render-target write.  One launch record is appended, whose
         cycle and fetch counts sum the members' (the work still
         happens) while timing charges a single target write and launch
-        overhead.  Valid in both ``optimize`` modes — the
-        graph was fused by the stream compiler, not the device; the
-        device mode only selects the interpreter's fetch fast path.
+        overhead.
         """
         self._check_bindings(kernel.name, target, textures)
         arrays = {name: tex.data for name, tex in textures.items()}
-        result = execute_fused_lazy(
+        target.data[...] = execute_fused_lazy(
             kernel.part_shaders, kernel.part_names, target.height,
-            target.width, arrays, uniforms,
-            fast_fetch=self.optimize == "fuse")
-        target.data[...] = result
+            target.width, arrays, uniforms)
         # fused_count - 1 intermediate textures never materialized, plus
-        # the interpreter scratch when the fused fetch path is on.
+        # the interpreter scratch.
         self.counters.record_fusion(
             passes_fused=kernel.fused_count - 1,
-            temporaries_elided=kernel.fused_count - 1
-            + (1 if self.optimize == "fuse" else 0))
+            temporaries_elided=kernel.fused_count)
 
         cost, timing = self.cost_model.fused_launch_time(
             kernel.part_shaders, target.width, target.height)

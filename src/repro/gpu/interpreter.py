@@ -6,12 +6,10 @@ arrays, so the *data* computed is bit-comparable to what a real float32
 fragment pipeline produces while remaining fast enough to process
 realistic scenes on one CPU core.
 
-Clamp-to-edge addressing is implemented with clipped index arrays; the
-row/column index vectors are cached per (extent, offset) so repeated
-fixed-offset fetches (the overwhelmingly common case in the AMC kernels)
-cost one fancy-indexing gather each — or, on the device fast path
-(``optimize="fuse"``), a strided interior copy with broadcast edge
-bands that yields byte-identical texels several times faster.
+Clamp-to-edge fixed-offset fetches (the overwhelmingly common case in
+the AMC kernels) are strided interior copies with broadcast edge bands
+(:func:`repro.core.shifts.shifted_copy`): texels byte-identical to a
+clipped-index gather, several times faster.
 
 Each shader is *compiled once*, the way the paper's Cg kernels are
 compiled for the fp30 profile before any launch.  :func:`compile_plan`
@@ -29,16 +27,17 @@ a shader compiler performs.  The plan is cached on the shader
 no IR walk, no per-node type dispatch, no structural hashing.
 
 :func:`execute` keeps the historical recursive evaluator with a
-per-launch structural memo (:func:`_eval`) as the independent oracle
-behind ``optimize="none"``; both paths issue the same NumPy operations
-in the same order, so their texels are byte-identical.
+per-launch structural memo (:func:`_eval`) as the device's oracle: the
+tests compare the compiled plans against it, and the host-side stream
+executor runs unfused steps through it.  Both issue the same NumPy
+operations in the same order, so their texels are byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.shifts import clamped_indices, shifted_copy
+from repro.core.shifts import shifted_copy
 from repro.errors import ShaderError
 from repro.gpu import shaderir as ir
 from repro.gpu.shader import FragmentShader
@@ -46,42 +45,26 @@ from repro.gpu.shader import FragmentShader
 _F32 = np.float32
 
 
-def _fetch_static(texture: np.ndarray, dx: int, dy: int,
-                  fast: bool = False) -> np.ndarray:
+def _fetch_static(texture: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Clamp-to-edge fetch at constant offset; zero offset is a no-copy
     view.
 
-    The clipped index vectors come from the shared, cached
-    :func:`repro.core.shifts.clamped_indices` helper — the same
-    addressing every CPU implementation uses.  ``fast`` routes through
-    :func:`repro.core.shifts.shifted_copy` instead: byte-identical
-    texels from strided copies rather than a fancy-indexing gather."""
-    if dx == 0 and dy == 0:
-        return texture
-    if fast:
-        return shifted_copy(texture, dy, dx)
-    h, w = texture.shape[:2]
-    rows = clamped_indices(h, dy)
-    cols = clamped_indices(w, dx)
-    return texture[np.ix_(rows, cols)]
+    Both the compiled plans and the recursive oracle fetch through this
+    module global, so a patched ``_fetch_static`` sees every fixed-offset
+    fetch either path issues."""
+    return shifted_copy(texture, dy, dx)
 
 
 class ShaderContext:
-    """Bindings for one launch: textures, uniforms and the target size.
-
-    ``fast_fetch`` selects the strided fixed-offset fetch (the device's
-    ``optimize="fuse"`` mode); texel values are identical either way.
-    """
+    """Bindings for one launch: textures, uniforms and the target size."""
 
     def __init__(self, height: int, width: int,
                  textures: dict[str, np.ndarray],
-                 uniforms: dict[str, np.ndarray],
-                 fast_fetch: bool = False):
+                 uniforms: dict[str, np.ndarray]):
         self.height = height
         self.width = width
         self.textures = textures
         self.uniforms = uniforms
-        self.fast_fetch = fast_fetch
         self._fragcoord: np.ndarray | None = None
 
     def fragcoord(self) -> np.ndarray:
@@ -189,8 +172,7 @@ def _eval_uncached(node: ir.Expr, ctx: ShaderContext,
     if isinstance(node, ir.FragCoord):
         return ctx.fragcoord()
     if isinstance(node, ir.TexFetch):
-        return _fetch_static(ctx.textures[node.sampler], node.dx, node.dy,
-                             fast=ctx.fast_fetch)
+        return _fetch_static(ctx.textures[node.sampler], node.dx, node.dy)
     if isinstance(node, ir.TexFetchDyn):
         return _fetch_dyn(_eval(node.coord, ctx, memo),
                           ctx.textures[node.sampler], ctx.height, ctx.width)
@@ -387,14 +369,13 @@ def _run(plan: Plan, ctx: ShaderContext) -> np.ndarray:
     regs = list(plan.consts)
     append = regs.append
     textures = ctx.textures
-    fast = ctx.fast_fetch
     for kind, op, a, b in plan.steps:
         if kind == _BINARY:
             append(op(regs[a], regs[b]))
         elif kind == _FETCH:
             # Through the module global on every fetch, so a patched
             # _fetch_static sees each one.
-            append(_fetch_static(textures[op], a, b, fast=fast))
+            append(_fetch_static(textures[op], a, b))
         elif kind == _UNARY:
             append(op(regs[a]))
         else:
@@ -411,9 +392,9 @@ def execute(shader: FragmentShader, height: int, width: int,
             uniforms: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Run ``shader`` over an ``height x width`` render target.
 
-    This is the recursive reference evaluator (the device's
-    ``optimize="none"`` oracle): it walks the IR with a per-launch
-    structural memo instead of running the compiled plan.
+    This is the recursive reference evaluator (the device's oracle):
+    it walks the IR with a per-launch structural memo instead of
+    running the compiled plan.
 
     Parameters
     ----------
@@ -450,8 +431,8 @@ def execute(shader: FragmentShader, height: int, width: int,
 
 def execute_lazy(shader: FragmentShader, height: int, width: int,
                  textures: dict[str, np.ndarray],
-                 uniforms: dict[str, np.ndarray] | None = None,
-                 *, fast_fetch: bool = False) -> np.ndarray:
+                 uniforms: dict[str, np.ndarray] | None = None
+                 ) -> np.ndarray:
     """Like :func:`execute`, through the shader's compiled plan, returning
     the raw evaluation result.
 
@@ -462,14 +443,12 @@ def execute_lazy(shader: FragmentShader, height: int, width: int,
     materialization — :meth:`VirtualGPU.launch
     <repro.gpu.device.VirtualGPU.launch>` broadcasts the result into
     the target texture directly, eliding the interpreter's scratch
-    temporary on the device's ``optimize="fuse"`` path.
+    temporary.
     """
     plan = shader.compiled("plan", _compile_shader)
     tex_arrays = _coerce_textures(shader.name, plan.samplers, textures)
     uni_arrays = _coerce_uniforms(shader.name, plan.uniforms, uniforms)
-    ctx = ShaderContext(height, width, tex_arrays, uni_arrays,
-                        fast_fetch=fast_fetch)
-    return _run(plan, ctx)
+    return _run(plan, ShaderContext(height, width, tex_arrays, uni_arrays))
 
 
 def _coerce_textures(kernel: str, samplers, textures) -> dict[str, np.ndarray]:
@@ -532,8 +511,8 @@ def _fused_plan(part_shaders, part_names) -> Plan:
 
 def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
                        textures: dict[str, np.ndarray],
-                       uniforms: dict[str, np.ndarray] | None = None,
-                       *, fast_fetch: bool = False) -> np.ndarray:
+                       uniforms: dict[str, np.ndarray] | None = None
+                       ) -> np.ndarray:
     """Evaluate a fused kernel's parts under one shared context.
 
     ``part_shaders`` / ``part_names`` come from a
@@ -553,9 +532,7 @@ def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
     plan = _fused_plan(part_shaders, part_names)
     tex_arrays = _coerce_textures(label, plan.samplers, textures)
     uni_arrays = _coerce_uniforms(label, plan.uniforms, uniforms)
-    ctx = ShaderContext(height, width, tex_arrays, uni_arrays,
-                        fast_fetch=fast_fetch)
-    return _run(plan, ctx)
+    return _run(plan, ShaderContext(height, width, tex_arrays, uni_arrays))
 
 
 def execute_fused(part_shaders, part_names, height: int, width: int,

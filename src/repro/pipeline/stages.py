@@ -148,8 +148,7 @@ class UnmixingStage(Stage):
                 # tail gets its own device and the accounting is summed
                 from repro.gpu.device import VirtualGPU
 
-                device = VirtualGPU(config.gpu_spec,
-                                    optimize=config.optimize)
+                device = VirtualGPU(config.gpu_spec)
             unmix_out = gpu_unmix_classify(bip, endmembers.spectra,
                                            device=device,
                                            return_abundances=True)

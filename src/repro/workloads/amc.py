@@ -77,8 +77,7 @@ class AMCWorkload(Workload):
         ctx = {
             "bip": bip,
             "config": config,
-            "backend": get_backend(config.backend).configured(
-                optimize=config.optimize),
+            "backend": get_backend(config.backend),
             "ground_truth": ground_truth,
             "class_names": class_names,
         }

@@ -40,7 +40,7 @@ from repro.profiling.profiler import Profiler
 #: shared by every built-in workload (and the historical
 #: ``repro.serving.EXECUTION_KNOBS``).
 DEFAULT_EXECUTION_KNOBS = frozenset(
-    {"n_workers", "max_retries", "chunk_timeout_s", "optimize"})
+    {"n_workers", "max_retries", "chunk_timeout_s"})
 
 
 def run_pixel_kernel(bip: np.ndarray, kernel, payload, *, config,

@@ -71,17 +71,8 @@ class DetectionConfig:
     n_workers: int = 1
     max_retries: int = 0
     chunk_timeout_s: float | None = None
-    #: Accepted for interface uniformity with
-    #: :class:`~repro.core.amc.AMCConfig` (same validation, same
-    #: cache-key exclusion).  The detection kernels are single plain
-    #: NumPy per-pixel passes — there is no stream graph or virtual
-    #: board here, so both modes run the same code.
-    optimize: str = "fuse"
 
     def __post_init__(self) -> None:
-        from repro.core.pairreuse import check_optimize
-
-        check_optimize(self.optimize)
         if self.target is not None:
             coerced = tuple(float(v) for v in np.asarray(self.target,
                                                          dtype=np.float64))

@@ -49,15 +49,8 @@ class ReductionConfig:
     n_workers: int = 1
     max_retries: int = 0
     chunk_timeout_s: float | None = None
-    #: Interface-uniform execution knob (see
-    #: :class:`~repro.core.amc.AMCConfig`); the reduction kernels are
-    #: plain NumPy linear algebra, so both modes run the same code.
-    optimize: str = "fuse"
 
     def __post_init__(self) -> None:
-        from repro.core.pairreuse import check_optimize
-
-        check_optimize(self.optimize)
         if self.n_components < 1:
             raise ValidationError(
                 f"n_components must be >= 1, got {self.n_components}")

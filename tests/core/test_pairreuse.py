@@ -1,9 +1,9 @@
 """Tests for the shift-reuse pair-map engine (repro.core.pairreuse).
 
-The engine's contract is **bit-identity**: ``method="shift"`` must
+The engine's contract is **bit-identity**: :func:`mei_reference` must
 produce byte-for-byte the same cumulative distances, indices and MEI as
-the historical all-pairs loop (``method="pairs"``) and — within the
-established float tolerance — the naive per-pixel oracle.  The goldens
+the historical all-pairs oracle (:func:`mei_all_pairs`) and — within
+the established float tolerance — the naive per-pixel oracle.  The goldens
 below were captured on the all-pairs implementation *before* the engine
 existed, so they pin the reuse path against the pre-engine history, not
 against itself.
@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.core.mei import cumulative_distances, mei_reference, se_offsets
+from repro.core.mei import (
+    cumulative_distances,
+    mei_all_pairs,
+    mei_reference,
+    se_offsets,
+)
 from repro.core.naive import mei_naive
 from repro.core.pairreuse import (
     PairReuseEngine,
@@ -24,7 +29,12 @@ from repro.core.pairreuse import (
     sum_reuse_counters,
     unique_difference_offsets,
 )
-from repro.core.shifts import clamped_indices, clamped_shift, edge_rows
+from repro.core.shifts import (
+    clamped_indices,
+    clamped_shift,
+    edge_rows,
+    shifted_copy,
+)
 from repro.faults import FaultInjector, FaultSpec
 from repro.hsi import SceneParams, generate_scene
 from repro.parallel import parallel_morphological_stage
@@ -88,6 +98,20 @@ class TestShiftHelpers:
         arr = rng.uniform(size=(4, 5))
         assert clamped_shift(arr, 0, 0) is arr
 
+    @pytest.mark.parametrize("shape", [(5, 7), (5, 7, 3), (2, 9, 4),
+                                       (1, 1, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shifted_copy_matches_gather(self, rng, shape, dtype):
+        """The strided fetch behind the engine and every device launch
+        is byte-identical to the fancy-indexing gather, including
+        shifts wider than the image."""
+        arr = rng.uniform(size=shape).astype(dtype)
+        for dy in range(-3, 4):
+            for dx in range(-3, 4):
+                got = shifted_copy(arr, dy, dx)
+                assert got.flags["C_CONTIGUOUS"]
+                assert got.tobytes() == clamped_shift(arr, dy, dx).tobytes()
+
     def test_clamped_shift_replicates_edges(self, rng):
         arr = rng.uniform(size=(4, 5, 3))
         out = clamped_shift(arr, 2, -1)
@@ -118,8 +142,8 @@ class TestUniqueDifferences:
 class TestBitIdentityShiftVsPairs:
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_golden_cube(self, golden_cube, radius):
-        shift = mei_reference(golden_cube, radius, method="shift")
-        pairs = mei_reference(golden_cube, radius, method="pairs")
+        shift = mei_reference(golden_cube, radius)
+        pairs, _ = mei_all_pairs(golden_cube, radius)
         assert _sha(shift.mei) == _sha(pairs.mei)
         assert _sha(shift.cumulative) == _sha(pairs.cumulative)
         np.testing.assert_array_equal(shift.erosion_index,
@@ -140,8 +164,8 @@ class TestBitIdentityShiftVsPairs:
     def test_degenerate_shapes(self, shape, radius):
         cube = np.random.default_rng(hash(shape) % 2**32).uniform(
             0.05, 1.0, shape)
-        shift = mei_reference(cube, radius, method="shift")
-        pairs = mei_reference(cube, radius, method="pairs")
+        shift = mei_reference(cube, radius)
+        pairs, _ = mei_all_pairs(cube, radius)
         assert _sha(shift.mei) == _sha(pairs.mei)
         assert _sha(shift.cumulative) == _sha(pairs.cumulative)
 
@@ -151,8 +175,8 @@ class TestBitIdentityShiftVsPairs:
         bsq = rng.uniform(0.05, 1.0, size=(7, 9, 8))
         cube = bsq.transpose(2, 0, 1).copy().transpose(1, 2, 0)
         assert not cube.flags["C_CONTIGUOUS"]
-        shift = mei_reference(cube, 1, method="shift")
-        pairs = mei_reference(cube, 1, method="pairs")
+        shift = mei_reference(cube, 1)
+        pairs, _ = mei_all_pairs(cube, 1)
         assert _sha(shift.mei) == _sha(pairs.mei)
         assert _sha(shift.cumulative) == _sha(pairs.cumulative)
         # the 8 zero-offset pairs had to re-create the historical
@@ -166,11 +190,10 @@ class TestBitIdentityShiftVsPairs:
         shape = (int(rng.integers(4, 12)), int(rng.integers(4, 12)),
                  int(rng.integers(3, 9)))
         cube = rng.uniform(0.05, 1.0, shape)
-        shift = cumulative_distances(normalize_image(cube), 1,
-                                     method="shift")
-        pairs = cumulative_distances(normalize_image(cube), 1,
-                                     method="pairs")
-        assert _sha(shift) == _sha(pairs)
+        normalized = normalize_image(cube)
+        shift = cumulative_distances(normalized, 1)
+        pairs, _ = mei_all_pairs(normalized, 1, prenormalized=True)
+        assert _sha(shift) == _sha(pairs.cumulative)
 
     def test_pair_maps_bit_equal(self, tiny_cube):
         normalized = np.asarray(normalize_image(tiny_cube),
@@ -180,9 +203,7 @@ class TestBitIdentityShiftVsPairs:
         entropy = sid_self_entropy(normalized)
         engine = PairReuseEngine(normalized, offsets, log_img=log_img,
                                  entropy=entropy)
-        _, maps = cumulative_distances(normalized, 1,
-                                       return_pair_maps=True,
-                                       method="pairs")
+        _, maps = mei_all_pairs(normalized, 1, prenormalized=True)
         for (ka, kb), expected in maps.items():
             np.testing.assert_array_equal(engine.pair_map(ka, kb),
                                           expected,
@@ -192,7 +213,7 @@ class TestBitIdentityShiftVsPairs:
 class TestGoldens:
     @pytest.mark.parametrize("radius", sorted(GOLDEN_MEI))
     def test_pre_engine_goldens(self, golden_cube, radius):
-        out = mei_reference(golden_cube, radius)     # default = shift
+        out = mei_reference(golden_cube, radius)
         assert _sha(out.mei) == GOLDEN_MEI[radius]
         assert _sha(out.cumulative) == GOLDEN_CUMULATIVE[radius]
 
@@ -224,7 +245,7 @@ class TestStats:
         assert stats.total_pixels == 6 * 5
 
     def test_pairs_method_has_no_stats(self, tiny_cube):
-        assert mei_reference(tiny_cube, 1, method="pairs").stats is None
+        assert mei_all_pairs(tiny_cube, 1)[0].stats is None
 
     def test_as_counters_and_sum(self, tiny_cube):
         stats = mei_reference(tiny_cube, 1).stats
@@ -251,8 +272,8 @@ class TestGatherMei:
     def test_matches_mask_scan(self, tiny_cube):
         normalized = np.asarray(normalize_image(tiny_cube),
                                 dtype=np.float64)
-        cumulative, maps = cumulative_distances(
-            normalized, 1, return_pair_maps=True, method="pairs")
+        pairs, maps = mei_all_pairs(normalized, 1, prenormalized=True)
+        cumulative = pairs.cumulative
         ero = np.argmin(cumulative, axis=2)
         dil = np.argmax(cumulative, axis=2)
         mei, gathered = gather_mei(

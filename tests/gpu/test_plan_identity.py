@@ -3,21 +3,24 @@
 Each fragment program :mod:`repro.core.amc_gpu` builds (radii 1-3 at
 fusion widths ``(1, 6)``) and each one :mod:`repro.core.unmix_gpu`
 launches is run through its compiled plan (``execute_lazy``, the path
-``VirtualGPU.launch`` takes, with the strided and the gather fetch) and
-through ``execute``, the recursive evaluator; the texels must agree
-byte for byte.  Fused graphs from
-:func:`repro.stream.optimize.fuse_elementwise` run through
+``VirtualGPU.launch`` takes) and through ``execute``, the recursive
+evaluator, with every fixed-offset fetch of the oracle run swapped for
+the clamped-index gather; the texels must agree byte for byte.  Fused
+graphs from :func:`repro.stream.optimize.fuse_elementwise` run through
 ``VirtualGPU.launch_fused`` against the unfused graph on the oracle.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.core.amc_gpu import _kernels
+from repro.core.shifts import clamped_shift
 from repro.core.unmix_gpu import gpu_unmix_classify
-from repro.gpu import VirtualGPU
+from repro.gpu import VirtualGPU, interpreter
 from repro.gpu import shaderir as ir
 from repro.gpu.interpreter import execute, execute_lazy
 from repro.spectral.normalize import SpectralEpsilon
@@ -49,21 +52,31 @@ def _bindings(shader, rng):
     return textures, uniforms
 
 
-def _assert_plan_matches_oracle(shaders, rng):
+@contextmanager
+def _gather_fetches(monkeypatch):
+    """Fixed-offset fetches as a fancy-indexing gather, so the oracle
+    shares no fetch code with the plans' strided copies."""
+    with monkeypatch.context() as patch:
+        patch.setattr(interpreter, "_fetch_static",
+                      lambda texture, dx, dy: clamped_shift(texture, dy, dx))
+        yield
+
+
+def _assert_plan_matches_oracle(shaders, rng, monkeypatch):
     for shader in shaders:
         textures, uniforms = _bindings(shader, rng)
-        want = execute(shader, H, W, textures, uniforms).tobytes()
-        for fast in (True, False):
-            got = np.empty((H, W, 4), dtype=np.float32)
-            got[...] = execute_lazy(shader, H, W, textures, uniforms,
-                                    fast_fetch=fast)
-            assert got.tobytes() == want, (shader.name, fast)
+        with _gather_fetches(monkeypatch):
+            want = execute(shader, H, W, textures, uniforms).tobytes()
+        got = np.empty((H, W, 4), dtype=np.float32)
+        got[...] = execute_lazy(shader, H, W, textures, uniforms)
+        assert got.tobytes() == want, shader.name
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
-def test_amc_kernel_set_matches_oracle(radius):
+def test_amc_kernel_set_matches_oracle(radius, monkeypatch):
     shaders = _kernels(radius, SpectralEpsilon.get(), (1, 6)).values()
-    _assert_plan_matches_oracle(shaders, np.random.default_rng(radius))
+    _assert_plan_matches_oracle(shaders, np.random.default_rng(radius),
+                                monkeypatch)
 
 
 def test_unmix_kernel_set_matches_oracle(monkeypatch):
@@ -80,7 +93,7 @@ def test_unmix_kernel_set_matches_oracle(monkeypatch):
     gpu_unmix_classify(cube, rng.uniform(0.05, 1.0, size=(3, 21)))
     assert {"copy", "mm_init", "mm_step"} <= set(launched)
     assert any(name.startswith("bandsum_w") for name in launched)
-    _assert_plan_matches_oracle(launched.values(), rng)
+    _assert_plan_matches_oracle(launched.values(), rng, monkeypatch)
 
 
 def _stencil_chain():
@@ -119,7 +132,7 @@ def _fused_graphs(rng):
     yield cum, cum_inputs
 
 
-def test_launch_fused_matches_unfused_oracle():
+def test_launch_fused_matches_unfused_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     parts = []
     for graph, inputs in _fused_graphs(rng):
@@ -127,7 +140,8 @@ def test_launch_fused_matches_unfused_oracle():
         assert fused.step_count() < graph.step_count()
         parts.extend(len(step.kernel.part_shaders) for step in fused.steps
                      if isinstance(step, FusedStep))
-        want = CpuExecutor().run(graph, inputs)
+        with _gather_fetches(monkeypatch):
+            want = CpuExecutor().run(graph, inputs)
         device = VirtualGPU()
         got = GpuExecutor(device).run(fused, inputs)
         assert device.counters.passes_fused > 0

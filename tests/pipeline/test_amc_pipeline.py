@@ -51,6 +51,26 @@ class TestGoldenBitIdentity:
         assert result.report.overall_accuracy == 62.77777777777778
         assert result.report.kappa == 0.5176096478070439
 
+    # Captured before the historical per-pass evaluators were retired
+    # from the production path; both execution paths agreed on every
+    # digest here, serial and chunk-parallel.
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("se_radius,backend,mei_hash,labels_hash", [
+        (2, "reference", "bf27db7fc55a62bb", "6fd7f48eed10d63b"),
+        (2, "gpu", "e663c56a9343eb3d", "6fd7f48eed10d63b"),
+        (3, "reference", "55cd20ae6c6c2421", "af44a6bc9d27b253"),
+        (3, "gpu", "403b8848f66940a4", "af44a6bc9d27b253"),
+    ])
+    def test_wider_structuring_elements(self, golden_scene, se_radius,
+                                        backend, mei_hash, labels_hash,
+                                        n_workers):
+        config = AMCConfig(n_classes=5, backend=backend,
+                           n_workers=n_workers, se_radius=se_radius)
+        result = run_amc(golden_scene.cube, config,
+                         ground_truth=golden_scene.ground_truth)
+        assert sha(result.mei) == mei_hash
+        assert sha(result.labels) == labels_hash
+
     @pytest.mark.parametrize("n_workers,launches,modeled_time_s", [
         (1, 184.0, 0.0058574061395348835),
         (2, 353.0, 0.010143319240697678),

@@ -207,6 +207,24 @@ class TestWorkloadRequests:
         assert response["job"]["state"] == "done"
         assert "outputs" not in response
 
+    def test_retired_optimize_knob_rejected_at_admission(
+            self, scene_path, tmp_path, capsys):
+        """No workload config and no CLI flag accepts ``optimize``."""
+        from repro.cli import main
+
+        names = ("amc", "sam", "cem", "rx", "pca")
+        server, responses = _roundtrip(scene_path, tmp_path, [
+            {"op": "submit", "cube": scene_path, "workload": name,
+             "params": {"optimize": "none"}} for name in names])
+        for name, response in zip(names, responses):
+            assert not response["ok"], name
+            assert response["error"] == "TypeError", name
+        assert server.pipeline_runs == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", scene_path, "--optimize", "none"])
+        assert exc.value.code == 2
+        assert "--optimize" in capsys.readouterr().err
+
     def test_target_class_errors_are_shaped(self, scene_path, tmp_path):
         """Missing sidecar / empty class come back as error responses."""
         bare = str(tmp_path / "bare.raw")

@@ -86,13 +86,13 @@ class TestFuseElementwise:
         np.testing.assert_array_equal(ref["out"].data, got["out"].data)
 
     def test_gpu_bit_identical_and_fewer_launches(self, chain, x_stream):
-        oracle = VirtualGPU(GEFORCE_7800GTX, optimize="none")
+        unfused = VirtualGPU(GEFORCE_7800GTX)
         device = VirtualGPU(GEFORCE_7800GTX)
-        ref = GpuExecutor(oracle).run(chain, {"x": x_stream})
+        ref = GpuExecutor(unfused).run(chain, {"x": x_stream})
         got = GpuExecutor(device).run(fuse_elementwise(chain),
                                       {"x": x_stream.copy()})
         np.testing.assert_array_equal(ref["out"].data, got["out"].data)
-        assert oracle.counters.kernel_launch_count == 4
+        assert unfused.counters.kernel_launch_count == 4
         assert device.counters.kernel_launch_count == 1
 
     def test_fusion_counters_recorded(self, chain, x_stream):
@@ -105,28 +105,28 @@ class TestFuseElementwise:
         assert summary["passes_fused"] == 3.0
 
     def test_fused_modeled_time_lower(self, chain, x_stream):
-        oracle = VirtualGPU(GEFORCE_7800GTX, optimize="none")
+        unfused = VirtualGPU(GEFORCE_7800GTX)
         device = VirtualGPU(GEFORCE_7800GTX)
-        GpuExecutor(oracle).run(chain, {"x": x_stream})
+        GpuExecutor(unfused).run(chain, {"x": x_stream})
         GpuExecutor(device).run(fuse_elementwise(chain),
                                 {"x": x_stream.copy()})
-        assert device.counters.total_time_s < oracle.counters.total_time_s
+        assert device.counters.total_time_s < unfused.counters.total_time_s
 
     def test_fused_launch_counts_all_work(self, chain, x_stream):
         """The single launch record keeps every ALU instruction of the
         chain; only the fetches of *inlined* intermediates (t1, t3 —
         one each) disappear, because the value now stays in a register
         instead of round-tripping through a texture."""
-        oracle = VirtualGPU(GEFORCE_7800GTX, optimize="none")
+        unfused = VirtualGPU(GEFORCE_7800GTX)
         device = VirtualGPU(GEFORCE_7800GTX)
-        GpuExecutor(oracle).run(chain, {"x": x_stream})
+        GpuExecutor(unfused).run(chain, {"x": x_stream})
         GpuExecutor(device).run(fuse_elementwise(chain),
                                 {"x": x_stream.copy()})
         (fused_rec,) = device.counters.launches
         total_cycles = sum(r.cycles_per_fragment
-                           for r in oracle.counters.launches)
+                           for r in unfused.counters.launches)
         total_fetches = sum(r.static_fetches
-                            for r in oracle.counters.launches)
+                            for r in unfused.counters.launches)
         from repro.gpu.cost import OP_COSTS
 
         assert fused_rec.static_fetches == total_fetches - 2
@@ -264,9 +264,9 @@ def _count_fetches(monkeypatch):
     calls = {"n": 0}
     real = interpreter._fetch_static
 
-    def counting(texture, dx, dy, fast=False):
+    def counting(texture, dx, dy):
         calls["n"] += 1
-        return real(texture, dx, dy, fast)
+        return real(texture, dx, dy)
 
     monkeypatch.setattr(interpreter, "_fetch_static", counting)
     return calls

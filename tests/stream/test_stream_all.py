@@ -197,19 +197,17 @@ class TestExecutors:
         """Failure injection: if a kernel blows up mid-graph, the GPU
         executor must still release every texture it allocated."""
         import repro.gpu.device as device_mod
+        from repro.gpu.interpreter import execute
 
         device = VirtualGPU(GEFORCE_7800GTX)
         calls = {"n": 0}
-        real_execute = device_mod.execute
 
-        def flaky(shader, height, width, textures, uniforms=None,
-                  **kwargs):
+        def flaky(shader, height, width, textures, uniforms=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("injected kernel fault")
-            return real_execute(shader, height, width, textures, uniforms)
+            return execute(shader, height, width, textures, uniforms)
 
-        monkeypatch.setattr(device_mod, "execute", flaky)
         monkeypatch.setattr(device_mod, "execute_lazy", flaky)
         x = Stream.from_scalar("x", rng.uniform(size=(4, 4)))
         with pytest.raises(RuntimeError, match="injected"):

@@ -1,12 +1,15 @@
-"""Fused-vs-unfused bit-identity across every registered workload.
+"""Production AMC vs the historical evaluators, byte for byte.
 
-The ``optimize`` execution knob selects the fused fast paths
-(``"fuse"``, the default) or the historical implementation
-(``"none"``, the oracle).  The contract is *byte* identity: every
-result array must hash the same under sha256 whichever path ran —
-including under chunk-parallel execution with injected faults, where a
-retried chunk shares border-correction pixels with its neighbour via
-the halo-margin handoff and must not double-apply them.
+Each layer runs one production path; the historical evaluators survive
+only as oracles this file calls directly.  The reference backend is
+compared against the all-pairs loop (:func:`repro.core.mei.mei_all_pairs`)
+— serial, chunk-parallel, and chunk-parallel under injected faults,
+where a retried chunk shares border-correction pixels with its
+neighbour via the halo-margin handoff and must not double-apply them.
+The GPU backend is compared against the recursive shader evaluator
+(:func:`repro.gpu.interpreter.execute`) with clamped-index gather
+fetches.  The contract is *byte* identity: every result array must hash
+the same under sha256.
 """
 
 import hashlib
@@ -16,10 +19,10 @@ import pytest
 
 from repro import faults
 from repro.core import AMCConfig, run_amc
+from repro.core.shifts import clamped_shift
 from repro.faults import FaultInjector, FaultSpec
 from repro.hsi import SceneParams, generate_scene
 from repro.profiling import Profiler
-from repro.workloads import get_workload
 
 
 def _sha256(*arrays) -> str:
@@ -40,15 +43,6 @@ def cube(scene):
     return scene.cube.as_bip()
 
 
-@pytest.fixture(scope="module")
-def target(scene, cube):
-    labels, counts = np.unique(scene.ground_truth, return_counts=True)
-    rarest = min(((int(lab), int(cnt)) for lab, cnt in zip(labels, counts)
-                  if lab != 0), key=lambda pair: pair[1])[0]
-    return tuple(float(v) for v in
-                 cube[scene.ground_truth == rarest].mean(axis=0))
-
-
 @pytest.fixture()
 def _clean_faults():
     faults.uninstall()
@@ -58,15 +52,45 @@ def _clean_faults():
     faults.set_attempt(0)
 
 
+def _all_pairs_oracle(patch):
+    """Route the reference backend through the all-pairs loop.
+
+    The backend imports ``mei_reference`` at call time and pool workers
+    are forked, so the substitution reaches every chunk.  The oracle
+    computes every pixel exactly, so it ignores the halo margins.
+    """
+    import repro.core.mei as mei_mod
+
+    def all_pairs(bip, radius, *, halo_margins=(0, 0)):
+        return mei_mod.mei_all_pairs(bip, radius)[0]
+
+    patch.setattr(mei_mod, "mei_reference", all_pairs)
+
+
+def _recursive_oracle(patch):
+    """Route every device launch through the recursive evaluator, with
+    fancy-indexing gather fetches, instead of the compiled plan."""
+    import repro.gpu.device as device_mod
+    from repro.gpu import interpreter
+
+    patch.setattr(device_mod, "execute_lazy", interpreter.execute)
+    patch.setattr(interpreter, "_fetch_static",
+                  lambda texture, dx, dy: clamped_shift(texture, dy, dx))
+
+
 class TestAmcIdentity:
     @pytest.mark.parametrize("backend", ("reference", "gpu"))
     @pytest.mark.parametrize("radius", (1, 2, 3))
-    def test_fused_matches_oracle(self, cube, backend, radius):
-        fused = run_amc(cube, AMCConfig(n_classes=3, backend=backend,
-                                        se_radius=radius))
-        oracle = run_amc(cube, AMCConfig(n_classes=3, backend=backend,
-                                         se_radius=radius,
-                                         optimize="none"))
+    def test_fused_matches_oracle(self, cube, backend, radius,
+                                  monkeypatch):
+        config = AMCConfig(n_classes=3, backend=backend, se_radius=radius)
+        fused = run_amc(cube, config)
+        with monkeypatch.context() as patch:
+            if backend == "reference":
+                _all_pairs_oracle(patch)
+            else:
+                _recursive_oracle(patch)
+            oracle = run_amc(cube, config)
         assert _sha256(fused.labels, fused.mei, fused.abundances) == \
             _sha256(oracle.labels, oracle.mei, oracle.abundances)
         np.testing.assert_array_equal(fused.erosion_index,
@@ -74,17 +98,13 @@ class TestAmcIdentity:
         np.testing.assert_array_equal(fused.dilation_index,
                                       oracle.dilation_index)
 
-    def test_fnnls_unmixing_matches_oracle(self, cube):
-        fused = run_amc(cube, AMCConfig(n_classes=3, unmixing="fnnls"))
-        oracle = run_amc(cube, AMCConfig(n_classes=3, unmixing="fnnls",
-                                         optimize="none"))
-        assert _sha256(fused.abundances) == _sha256(oracle.abundances)
-        assert _sha256(fused.labels) == _sha256(oracle.labels)
-
-    def test_parallel_fused_matches_serial_oracle(self, cube):
+    def test_parallel_fused_matches_serial_oracle(self, cube,
+                                                  monkeypatch):
         """Chunked execution with halo-margin border sharing stays
-        bit-identical to the serial historical path."""
-        oracle = run_amc(cube, AMCConfig(n_classes=3, optimize="none"))
+        bit-identical to the serial all-pairs oracle."""
+        with monkeypatch.context() as patch:
+            _all_pairs_oracle(patch)
+            oracle = run_amc(cube, AMCConfig(n_classes=3))
         profiler = Profiler()
         fused = run_amc(cube, AMCConfig(n_classes=3, n_workers=2),
                         profiler=profiler)
@@ -114,10 +134,12 @@ class TestAmcIdentity:
 
 class TestChaosRetryIdentity:
     def test_retried_chunk_does_not_double_apply_border_map(
-            self, cube, _clean_faults):
+            self, cube, _clean_faults, monkeypatch):
         """A fault-injected chunk retry recomputes its halo margins from
         scratch; the shared border pixels must be applied exactly once."""
-        serial = run_amc(cube, AMCConfig(n_classes=3, optimize="none"))
+        with monkeypatch.context() as patch:
+            _all_pairs_oracle(patch)
+            serial = run_amc(cube, AMCConfig(n_classes=3))
 
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=0, attempt=0)]))
@@ -131,40 +153,22 @@ class TestChaosRetryIdentity:
         assert retried and retried[0].retries >= 1
 
     def test_retry_identity_holds_for_oracle_mode_too(
-            self, cube, _clean_faults):
-        """Same chaos run with optimize="none" everywhere: the knob
-        never changes results, only code paths."""
+            self, cube, _clean_faults, monkeypatch):
+        """The all-pairs oracle under the same chaos run matches the
+        production serial path: retries change code paths, never
+        results."""
         serial = run_amc(cube, AMCConfig(n_classes=3))
+        _all_pairs_oracle(monkeypatch)
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=1, attempt=0)]))
         chaos = run_amc(cube,
-                        AMCConfig(n_classes=3, n_workers=2, max_retries=1,
-                                  optimize="none"))
+                        AMCConfig(n_classes=3, n_workers=2, max_retries=1))
         assert _sha256(chaos.labels, chaos.mei) == \
             _sha256(serial.labels, serial.mei)
 
 
 class TestDetectionReductionIdentity:
-    """The knob is accepted (and validated) by every workload config;
-    for the plain-NumPy detection/reduction kernels it is a documented
-    no-op — results stay byte-identical."""
-
-    @pytest.mark.parametrize("name", ("sam", "cem", "rx"))
-    def test_detection_fused_matches_oracle(self, name, cube, target):
-        wl = get_workload(name)
-        params = {"target": target} if wl.requires_target else {}
-        fused = wl.run(cube, params)
-        oracle = wl.run(cube, dict(params, optimize="none"))
-        np.testing.assert_array_equal(fused.scores, oracle.scores)
-
-    def test_pca_fused_matches_oracle(self, cube):
-        fused = get_workload("pca").run(cube, {"n_components": 4})
-        oracle = get_workload("pca").run(
-            cube, {"n_components": 4, "optimize": "none"})
-        np.testing.assert_array_equal(fused.transformed,
-                                      oracle.transformed)
-        np.testing.assert_array_equal(fused.components, oracle.components)
-
     def test_bad_optimize_rejected(self, cube):
-        with pytest.raises(Exception, match="optimize"):
+        """The retired execution-mode knob is not a config field."""
+        with pytest.raises(TypeError, match="optimize"):
             run_amc(cube, AMCConfig(n_classes=3, optimize="never"))

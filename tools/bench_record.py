@@ -1,12 +1,12 @@
 """Record acceptance measurements to ``BENCH_*.json`` at the repo root.
 
-Two targets:
+Five targets:
 
 ``morph`` (the default, preserving the historical invocation)
-    Measures the reference-backend morphological stage
-    (``mei_reference``) with the historical all-pairs loop and with the
-    shift-reuse engine at radius 2, takes the best of a few repeats of
-    each, and writes the speedup plus the engine's reuse accounting to
+    Measures the reference-backend morphological stage at radius 2:
+    the all-pairs oracle (``mei_all_pairs``) against the shift-reuse
+    engine (``mei_reference``).  It takes the best of a few repeats of
+    each and writes the speedup plus the engine's reuse accounting to
     ``BENCH_morph.json``.  The acceptance bar is a >= 2x measured
     speedup with bit-identical output (asserted here and pinned by the
     test suite).
@@ -48,18 +48,9 @@ Two targets:
     back clean and that the two-tier run fits the 10-second acceptance
     budget.  Written to ``BENCH_LINT.json``.
 
-``fusion``
-    Measures end-to-end ``run_amc`` on the GPU backend with the fused
-    fast paths (``optimize="fuse"``, the default) against the
-    historical ``optimize="none"`` oracle at SE radii 1-3, asserting
-    sha256 bit identity and the >= 1.5x acceptance bar at every
-    radius, with the serial reference backend and the stream
-    compiler's pass fusion (launch counts, modeled time) as supporting
-    rows.  Written to ``BENCH_fusion.json``.
-
 Run from the repository root::
 
-    PYTHONPATH=src python -m tools.bench_record [morph|serving|workloads|recovery|lint|fusion]
+    PYTHONPATH=src python -m tools.bench_record [morph|serving|workloads|recovery|lint]
 """
 
 from __future__ import annotations
@@ -72,7 +63,7 @@ import time
 
 import numpy as np
 
-from repro.core.mei import mei_reference
+from repro.core.mei import mei_all_pairs, mei_reference
 
 LINES, SAMPLES, BANDS = 96, 96, 32
 RADIUS = 2
@@ -96,10 +87,8 @@ def measure() -> dict:
     """Run the measurement and return the record dict."""
     cube = np.random.default_rng(SEED).uniform(
         0.05, 1.0, size=(LINES, SAMPLES, BANDS))
-    pairs_s, pairs = _best_of(
-        lambda: mei_reference(cube, RADIUS, method="pairs"))
-    shift_s, shift = _best_of(
-        lambda: mei_reference(cube, RADIUS, method="shift"))
+    pairs_s, (pairs, _) = _best_of(lambda: mei_all_pairs(cube, RADIUS))
+    shift_s, shift = _best_of(lambda: mei_reference(cube, RADIUS))
     np.testing.assert_array_equal(shift.mei, pairs.mei)
     np.testing.assert_array_equal(shift.cumulative, pairs.cumulative)
 
@@ -414,170 +403,6 @@ def measure_lint() -> dict:
     }
 
 
-def _fusion_sha(result) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
-    for array in (result.labels, result.mei, result.abundances):
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
-def measure_fusion() -> dict:
-    """End-to-end ``run_amc`` with the fused fast paths vs the
-    ``optimize="none"`` oracle, radii 1-3, sha256-pinned bit identity.
-
-    The headline is the GPU backend (strided fetches + elided scratch
-    per launch); the reference backend's region-wise shift-reuse and
-    the stream compiler's pass fusion are reported as supporting rows.
-    The acceptance bar asserted here: >= 1.5x on every radius with
-    byte-identical outputs.
-    """
-    from repro.core import AMCConfig, run_amc
-    from repro.core.mei import mei_reference
-
-    cube = np.random.default_rng(SEED).uniform(
-        0.05, 1.0, size=(LINES, SAMPLES, BANDS))
-
-    radii = []
-    for radius, repeats in ((1, REPEATS), (2, REPEATS), (3, 2)):
-        none_s, none_out = _best_of(
-            lambda: run_amc(cube, AMCConfig(
-                n_classes=5, backend="gpu", se_radius=radius,
-                optimize="none")), repeats)
-        fuse_s, fuse_out = _best_of(
-            lambda: run_amc(cube, AMCConfig(
-                n_classes=5, backend="gpu", se_radius=radius)), repeats)
-        assert _fusion_sha(fuse_out) == _fusion_sha(none_out)
-        counters = fuse_out.gpu_output.counters
-        radii.append({
-            "radius": radius,
-            "repeats": repeats,
-            "none_wall_s": round(none_s, 6),
-            "fuse_wall_s": round(fuse_s, 6),
-            "speedup": round(none_s / fuse_s, 3),
-            "sha256": _fusion_sha(fuse_out),
-            "bit_identical": True,
-            "temporaries_elided": counters.get("temporaries_elided", 0.0),
-        })
-    assert all(row["speedup"] >= 1.5 for row in radii)
-
-    # Supporting: the serial reference backend's fused engine.
-    ref_none_s, ref_none = _best_of(
-        lambda: mei_reference(cube, RADIUS, optimize="none"))
-    ref_fuse_s, ref_fuse = _best_of(lambda: mei_reference(cube, RADIUS))
-    np.testing.assert_array_equal(ref_fuse.mei, ref_none.mei)
-    np.testing.assert_array_equal(ref_fuse.cumulative, ref_none.cumulative)
-
-    # Supporting: the stream compiler on the Fig. 4 normalization graph.
-    from repro.gpu.device import VirtualGPU
-    from repro.stream import GpuExecutor, Stream, optimize as opt_graph
-    from repro.stream.amc_stages import build_normalization_graph, \
-        group_streams
-
-    graph = build_normalization_graph(BANDS)
-    unfused = opt_graph(graph, fuse=False)
-    fused = opt_graph(graph)
-
-    def run_stream(stage_graph, mode):
-        device = VirtualGPU(optimize=mode)
-        inputs = group_streams(cube)
-        inputs["zero"] = Stream.zeros("zero", LINES, SAMPLES)
-        out = GpuExecutor(device).run(stage_graph, inputs)
-        return device, out
-
-    unfused_s, (oracle_dev, oracle_out) = _best_of(
-        lambda: run_stream(unfused, "none"))
-    fused_s, (fused_dev, fused_out) = _best_of(
-        lambda: run_stream(fused, "fuse"))
-    for name in graph.outputs:
-        np.testing.assert_array_equal(fused_out[name].data,
-                                      oracle_out[name].data)
-
-    return {
-        "bench": "pass fusion: end-to-end run_amc (gpu backend) fused "
-                 "vs optimize='none' oracle; reference backend and "
-                 "stream compiler as supporting rows",
-        "cube": [LINES, SAMPLES, BANDS],
-        "seed": SEED,
-        "amc_gpu": radii,
-        "headline_speedup": radii[1]["speedup"],
-        "reference_backend": {
-            "radius": RADIUS,
-            "none_wall_s": round(ref_none_s, 6),
-            "fuse_wall_s": round(ref_fuse_s, 6),
-            "speedup": round(ref_none_s / ref_fuse_s, 3),
-            "bit_identical": True,
-        },
-        "stream_compiler": {
-            "graph": graph.name,
-            "steps_unfused": unfused.step_count(),
-            "steps_fused": fused.step_count(),
-            "launches_unfused": oracle_dev.counters.kernel_launch_count,
-            "launches_fused": fused_dev.counters.kernel_launch_count,
-            "passes_fused": fused_dev.counters.passes_fused,
-            "modeled_none_s": round(oracle_dev.counters.total_time_s, 6),
-            "modeled_fuse_s": round(fused_dev.counters.total_time_s, 6),
-            "wall_none_s": round(unfused_s, 6),
-            "wall_fuse_s": round(fused_s, 6),
-            "bit_identical": True,
-        },
-    }
-
-
-def measure_fusion_smoke() -> dict:
-    """CI-sized fusion check: tiny cube, one repeat, no file written.
-
-    Asserts the two fusion contracts cheaply — end-to-end ``run_amc``
-    bit identity between ``optimize="fuse"`` and the oracle, and the
-    stream compiler shrinking launches without changing a byte — so a
-    fusion regression fails the workflow in seconds, leaving the full
-    ``fusion`` target for release measurements.
-    """
-    from repro.core import AMCConfig, run_amc
-    from repro.gpu.device import VirtualGPU
-    from repro.stream import GpuExecutor, Stream, optimize as opt_graph
-    from repro.stream.amc_stages import build_normalization_graph, \
-        group_streams
-
-    lines, samples, bands = 24, 20, 12
-    cube = np.random.default_rng(SEED).uniform(
-        0.05, 1.0, size=(lines, samples, bands))
-
-    none_s, none_out = _best_of(
-        lambda: run_amc(cube, AMCConfig(n_classes=3, backend="gpu",
-                                        optimize="none")), 1)
-    fuse_s, fuse_out = _best_of(
-        lambda: run_amc(cube, AMCConfig(n_classes=3, backend="gpu")), 1)
-    assert _fusion_sha(fuse_out) == _fusion_sha(none_out)
-
-    graph = build_normalization_graph(bands)
-    unfused = opt_graph(graph, fuse=False)
-    fused = opt_graph(graph)
-
-    def run_stream(stage_graph, mode):
-        device = VirtualGPU(optimize=mode)
-        inputs = group_streams(cube)
-        inputs["zero"] = Stream.zeros("zero", lines, samples)
-        return device, GpuExecutor(device).run(stage_graph, inputs)
-
-    oracle_dev, oracle_out = run_stream(unfused, "none")
-    fused_dev, fused_out = run_stream(fused, "fuse")
-    for name in graph.outputs:
-        np.testing.assert_array_equal(fused_out[name].data,
-                                      oracle_out[name].data)
-    assert fused_dev.counters.kernel_launch_count \
-        < oracle_dev.counters.kernel_launch_count
-    assert fused_dev.counters.total_time_s < oracle_dev.counters.total_time_s
-
-    return {
-        "none_wall_s": round(none_s, 6),
-        "fuse_wall_s": round(fuse_s, 6),
-        "launches_unfused": oracle_dev.counters.kernel_launch_count,
-        "launches_fused": fused_dev.counters.kernel_launch_count,
-    }
-
-
 def _write(record: dict, filename: str) -> str:
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(root, filename)
@@ -632,29 +457,10 @@ def main(argv=None) -> None:
               f"two-tier {record['two_tier_wall_s']}s "
               f"(budget {record['budget_s']}s) over "
               f"{record['files_scanned']} files")
-    elif target == "fusion":
-        record = measure_fusion()
-        path = _write(record, "BENCH_fusion.json")
-        for row in record["amc_gpu"]:
-            print(f"run_amc gpu r={row['radius']}: "
-                  f"{row['speedup']}x (none {row['none_wall_s']}s -> "
-                  f"fuse {row['fuse_wall_s']}s, bit-identical)")
-        stream = record["stream_compiler"]
-        print(f"stream compiler: {stream['launches_unfused']} -> "
-              f"{stream['launches_fused']} launches "
-              f"({stream['passes_fused']} passes fused)")
-    elif target == "fusion-smoke":
-        record = measure_fusion_smoke()
-        print(f"fusion smoke OK: run_amc bit-identical "
-              f"(none {record['none_wall_s']}s, "
-              f"fuse {record['fuse_wall_s']}s); stream compiler "
-              f"{record['launches_unfused']} -> "
-              f"{record['launches_fused']} launches")
-        return
     else:
         raise SystemExit(f"unknown bench target {target!r}; "
                          f"pick from: morph, serving, workloads, "
-                         f"recovery, lint, fusion, fusion-smoke")
+                         f"recovery, lint")
     print(f"wrote {path}")
 
 
