@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.amc_gpu import _batches, _kernels, _vram_chunk_plan
+from repro.core.amc_gpu import VRAM_FRACTION, _batches, _kernels, _line_bytes
 from repro.core.mei import se_offsets
 from repro.core.workload import morphological_workload
 from repro.cpu.spec import CompilerModel, CpuSpec, cpu_time_model
@@ -27,6 +27,7 @@ from repro.gpu.cost import CostModel
 from repro.gpu.shader import FragmentShader
 from repro.gpu.spec import GpuSpec
 from repro.gpu.texture import CHANNELS, TEXEL_BYTES, band_group_count
+from repro.hsi.chunking import plan_chunks_for_budget
 from repro.spectral.normalize import SpectralEpsilon
 
 
@@ -93,7 +94,6 @@ def launch_catalogue(bands: int, radius: int = 1, *,
 
 def project_gpu_time(spec: GpuSpec, lines: int, samples: int, bands: int,
                      radius: int = 1, *,
-                     vram_fraction: float = 0.85,
                      fuse_groups: int = 6) -> GpuTimeBreakdown:
     """Modeled device time for the AMC morphological stage.
 
@@ -101,8 +101,10 @@ def project_gpu_time(spec: GpuSpec, lines: int, samples: int, bands: int,
     the virtual device's counters would report after running the image,
     computed without allocating the image.
     """
-    plan = _vram_chunk_plan(lines, samples, bands, radius, spec,
-                            vram_fraction=vram_fraction)
+    plan = plan_chunks_for_budget(
+        lines, samples, bands, line_bytes=_line_bytes(samples, bands, radius),
+        budget_bytes=int(spec.vram_bytes * VRAM_FRACTION), halo=radius,
+        budget_name=f"{spec.name} VRAM budget")
     cost_model = CostModel(spec)
     catalogue = launch_catalogue(bands, radius, fuse_groups=fuse_groups)
     groups = band_group_count(bands)

@@ -51,7 +51,7 @@ from repro.gpu.texture import (
     group_masks,
     pack_bands,
 )
-from repro.hsi.chunking import ChunkPlan, plan_chunks_by_lines
+from repro.hsi.chunking import plan_chunks_for_budget
 from repro.spectral.normalize import SpectralEpsilon
 
 
@@ -300,34 +300,26 @@ class _PingPong:
         self._gpu.free(self._a, self._b)
 
 
-def _vram_chunk_plan(lines: int, samples: int, bands: int, radius: int,
-                     spec: GpuSpec, *, vram_fraction: float) -> ChunkPlan:
-    """Size chunks so the whole working set fits the board's VRAM.
+#: Share of a board's VRAM the GPU chunk planners may fill.
+VRAM_FRACTION = 0.85
+
+
+def _line_bytes(samples: int, bands: int, radius: int) -> int:
+    """Device bytes one extended line of the working set occupies.
 
     Per extended line the pipeline holds: the source stack, the
     normalized stack and the log stack (3G group textures), K cumulative
     streams, and ~10 scratch targets (sum/entropy/cross ping-pongs,
     max/min state, MEI).
     """
-    groups = band_group_count(bands)
     k_count = (2 * radius + 1) ** 2
-    textures_per_line = 3 * groups + k_count + 10
-    bytes_per_line = samples * TEXEL_BYTES * textures_per_line
-    budget = int(spec.vram_bytes * vram_fraction)
-    max_ext = max(budget // bytes_per_line, 1)
-    if max_ext < 2 * radius + 1:
-        raise StreamError(
-            f"{spec.name} VRAM ({spec.vram_bytes >> 20} MiB) cannot hold "
-            f"even one {2 * radius + 1}-line window of a {samples}-sample, "
-            f"{bands}-band image")
-    return plan_chunks_by_lines(lines, samples, bands,
-                                max_ext_lines=int(max_ext), halo=radius)
+    textures_per_line = 3 * band_group_count(bands) + k_count + 10
+    return samples * TEXEL_BYTES * textures_per_line
 
 
 def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
                             spec: GpuSpec = GEFORCE_7800GTX,
                             device: VirtualGPU | None = None,
-                            vram_fraction: float = 0.85,
                             fuse_groups: int = 6) -> GpuAmcOutput:
     """Run stages 1-6 of the stream AMC pipeline on a virtual GPU.
 
@@ -342,8 +334,6 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
     device:
         Reuse an existing :class:`VirtualGPU` (its counters keep
         accumulating, which lets a caller time a whole workload).
-    vram_fraction:
-        Fraction of VRAM the chunk planner may use.
     fuse_groups:
         How many band groups the reduction kernels fold per pass (capped
         by the 16-texture-unit budget; 6 is the maximum for the widest
@@ -368,8 +358,10 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
     widths = tuple(sorted({w for _, w in batches}))
     shaders = _kernels(radius, eps, widths)
 
-    plan = _vram_chunk_plan(lines, samples, bands, radius, gpu.spec,
-                            vram_fraction=vram_fraction)
+    plan = plan_chunks_for_budget(
+        lines, samples, bands, line_bytes=_line_bytes(samples, bands, radius),
+        budget_bytes=int(gpu.spec.vram_bytes * VRAM_FRACTION), halo=radius,
+        budget_name=f"{gpu.spec.name} VRAM budget")
 
     mei = np.empty((lines, samples), dtype=np.float32)
     erosion = np.empty((lines, samples), dtype=np.int64)

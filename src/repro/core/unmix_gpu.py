@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.amc_gpu import _PingPong, _batches, _kernels
-from repro.errors import ShapeError, StreamError
+from repro.core.amc_gpu import VRAM_FRACTION, _PingPong, _batches, _kernels
+from repro.errors import ShapeError
 from repro.gpu.device import VirtualGPU
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
 from repro.gpu.texture import (
@@ -37,7 +37,7 @@ from repro.gpu.texture import (
     band_group_count,
     pack_bands,
 )
-from repro.hsi.chunking import plan_chunks_by_lines
+from repro.hsi.chunking import plan_chunks_for_budget
 from repro.spectral.normalize import SpectralEpsilon
 
 
@@ -72,7 +72,6 @@ def gpu_unmix_classify(cube_bip: np.ndarray, endmembers: np.ndarray, *,
                        spec: GpuSpec = GEFORCE_7800GTX,
                        device: VirtualGPU | None = None,
                        fuse_groups: int = 6,
-                       vram_fraction: float = 0.85,
                        return_abundances: bool = False) -> GpuUnmixOutput:
     """Estimate LSU abundances and classify by argmax, on the device.
 
@@ -113,14 +112,11 @@ def gpu_unmix_classify(cube_bip: np.ndarray, endmembers: np.ndarray, *,
 
     # chunking: per extended line we hold the source stack, c abundance
     # streams (x2 for ping-pong) and the argmax state.
-    textures_per_line = groups + 2 * c + 6
-    budget = int(gpu.spec.vram_bytes * vram_fraction)
-    max_ext = max(budget // (samples * TEXEL_BYTES * textures_per_line), 1)
-    if max_ext < 1:
-        raise StreamError(f"{gpu.spec.name} cannot hold one line of this "
-                          f"unmixing working set")
-    plan = plan_chunks_by_lines(lines, samples, bands,
-                                max_ext_lines=int(max_ext), halo=0)
+    plan = plan_chunks_for_budget(
+        lines, samples, bands,
+        line_bytes=samples * TEXEL_BYTES * (groups + 2 * c + 6),
+        budget_bytes=int(gpu.spec.vram_bytes * VRAM_FRACTION), halo=0,
+        budget_name=f"{gpu.spec.name} VRAM budget")
 
     winner_index = np.empty((lines, samples), dtype=np.int64)
     winner_abundance = np.empty((lines, samples), dtype=np.float32)

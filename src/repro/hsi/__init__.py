@@ -19,7 +19,13 @@ Everything the AMC algorithm needs underneath it:
 """
 
 from repro.hsi.bands import AVIRIS_BAND_COUNT, BandSet, aviris_bands
-from repro.hsi.chunking import Chunk, ChunkPlan, plan_chunks, plan_chunks_by_lines
+from repro.hsi.chunking import (
+    Chunk,
+    ChunkPlan,
+    plan_chunks,
+    plan_chunks_by_lines,
+    plan_chunks_for_budget,
+)
 from repro.hsi.cube import HyperCube, Interleave
 from repro.hsi.library import SpectralLibrary, build_default_library
 from repro.hsi.noise import NoiseModel
@@ -60,4 +66,5 @@ __all__ = [
     "implant_targets",
     "plan_chunks",
     "plan_chunks_by_lines",
+    "plan_chunks_for_budget",
 ]

@@ -160,8 +160,36 @@ def plan_chunks_by_lines(lines: int, samples: int, bands: int, *,
     return plan
 
 
+def plan_chunks_for_budget(lines: int, samples: int, bands: int, *,
+                           line_bytes: int, budget_bytes: int, halo: int,
+                           budget_name: str = "budget") -> ChunkPlan:
+    """Split an image into the tallest line-wise chunks a byte budget holds.
+
+    The one chunk-budget rule every planner shares: ``budget_bytes //
+    line_bytes`` extended lines fit, and a chunk must hold at least one
+    core line plus ``halo`` lines on both sides.  Callers state their
+    own per-line footprint (the host input stream, or a GPU pipeline's
+    whole texture working set) and get the geometry from
+    :func:`plan_chunks_by_lines`.
+
+    Raises
+    ------
+    StreamError
+        If fewer than ``2 * halo + 1`` lines fit, before any caller
+        allocates anything.
+    """
+    budget_lines = int(budget_bytes // line_bytes)
+    if budget_lines < 2 * halo + 1:
+        raise StreamError(
+            f"{budget_name} of {budget_bytes} bytes fits only {budget_lines} "
+            f"lines of {line_bytes} bytes; need at least {2 * halo + 1} "
+            f"(halo={halo}) — increase the budget or reduce the halo")
+    return plan_chunks_by_lines(lines, samples, bands,
+                                max_ext_lines=budget_lines, halo=halo)
+
+
 def plan_chunks(cube: HyperCube, *, max_chunk_bytes: int,
-                halo: int, bytes_per_value: int | None = None) -> ChunkPlan:
+                halo: int) -> ChunkPlan:
     """Split a cube into line-wise chunks that fit a memory budget.
 
     Parameters
@@ -169,15 +197,11 @@ def plan_chunks(cube: HyperCube, *, max_chunk_bytes: int,
     cube:
         The image to split.
     max_chunk_bytes:
-        Memory available for one chunk's *input stream* on the device
-        (the VRAM budget the executor grants to input textures).
+        Memory available for one chunk's *input stream* (one line costs
+        ``samples * bands`` values of the cube's dtype).
     halo:
         Structuring-element radius; each chunk is extended this many lines
         into its neighbours (clipped at image borders).
-    bytes_per_value:
-        Defaults to the cube dtype's itemsize; override when the device
-        stores values at a different width (the GPU path stores float32
-        regardless of source dtype).
 
     Returns
     -------
@@ -190,17 +214,7 @@ def plan_chunks(cube: HyperCube, *, max_chunk_bytes: int,
     StreamError
         If the budget cannot fit even one core line plus its halos.
     """
-    if halo < 0:
-        raise StreamError(f"halo must be >= 0, got {halo}")
-    if max_chunk_bytes <= 0:
-        raise StreamError("max_chunk_bytes must be positive")
-    item = cube.data.dtype.itemsize if bytes_per_value is None else int(bytes_per_value)
-    line_bytes = cube.samples * cube.bands * item
-    budget_lines = int(max_chunk_bytes // line_bytes)
-    if budget_lines < 2 * halo + 1:
-        raise StreamError(
-            f"budget of {max_chunk_bytes} bytes fits only {budget_lines} "
-            f"lines; need at least {2 * halo + 1} (halo={halo}) — "
-            f"increase the budget or reduce the halo")
-    return plan_chunks_by_lines(cube.lines, cube.samples, cube.bands,
-                                max_ext_lines=budget_lines, halo=halo)
+    return plan_chunks_for_budget(
+        cube.lines, cube.samples, cube.bands,
+        line_bytes=cube.samples * cube.bands * cube.data.dtype.itemsize,
+        budget_bytes=max_chunk_bytes, halo=halo)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from repro.faults import maybe_inject
 from repro.gpu.counters import GpuCounters
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
 from repro.hsi.chunking import plan_chunks_by_lines
-from repro.parallel.pool import resolve_workers, run_tasks
+from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
 from repro.profiling.profiler import ChunkRecord, Profiler
 from repro.resilience import RetryPolicy
 
@@ -193,16 +192,7 @@ def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
         chunk = plan.chunks[index]
         core = slice(chunk.core_start, chunk.core_stop)
         mei[core], erosion[core], dilation[core] = cores
-        if profiler is not None:
-            if outcome.retries:
-                record = replace(record, retries=outcome.retries)
-                profiler.record_event(
-                    "retry", f"chunk took {outcome.retries} extra "
-                    f"attempt(s)"
-                    + (" (recovered in-process)" if outcome.recovered
-                       else ""),
-                    chunk_index=index)
-            profiler.record_chunk(record)
+        record_outcome(profiler, outcome, index, record)
         if accounting is not None:
             accountings.append(accounting)
         if stats is not None:

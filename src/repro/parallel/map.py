@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from repro.errors import ShapeError
 from repro.faults import maybe_inject
 from repro.hsi.chunking import plan_chunks_by_lines
-from repro.parallel.pool import resolve_workers, run_tasks
+from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
 from repro.profiling.profiler import ChunkRecord, Profiler
 from repro.resilience import RetryPolicy
 
@@ -134,14 +133,5 @@ def parallel_pixel_map(bip: np.ndarray, kernel, payload: tuple = (), *,
         if out is None:
             out = np.empty((lines, *core.shape[1:]), dtype=core.dtype)
         out[chunk.core_start:chunk.core_stop] = core
-        if profiler is not None:
-            if outcome.retries:
-                record = replace(record, retries=outcome.retries)
-                profiler.record_event(
-                    "retry", f"chunk took {outcome.retries} extra "
-                    f"attempt(s)"
-                    + (" (recovered in-process)" if outcome.recovered
-                       else ""),
-                    chunk_index=index)
-            profiler.record_chunk(record)
+        record_outcome(profiler, outcome, index, record)
     return out

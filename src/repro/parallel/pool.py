@@ -231,6 +231,25 @@ def run_tasks(tasks, func, initializer, initargs, n_workers: int,
             state.clear()
 
 
+def record_outcome(profiler: Profiler | None, outcome: TaskOutcome,
+                   index: int, record: ChunkRecord) -> None:
+    """Put one chunk's profile record, and its retry event, on ``profiler``.
+
+    The shared bookkeeping of every chunked runner: a chunk that took
+    extra attempts gets them on its :class:`ChunkRecord` and a
+    ``"retry"`` event (noting an in-process recovery) before the record.
+    """
+    if profiler is None:
+        return
+    if outcome.retries:
+        record = replace(record, retries=outcome.retries)
+        profiler.record_event(
+            "retry", f"chunk took {outcome.retries} extra attempt(s)"
+            + (" (recovered in-process)" if outcome.recovered else ""),
+            chunk_index=index)
+    profiler.record_chunk(record)
+
+
 def degrade_ext_lines(current: int, floor: int) -> int:
     """The next (halved) ``max_ext_lines`` after an OOM, or raise-worthy.
 
@@ -319,14 +338,5 @@ def run_chunked_parallel(graph: StageGraph, inputs: dict[str, Stream],
                 outputs[name] = np.empty((lines, samples, 4),
                                          dtype=np.float32)
             outputs[name][chunk.core_start:chunk.core_stop] = core
-        if profiler is not None:
-            if outcome.retries:
-                record = replace(record, retries=outcome.retries)
-                profiler.record_event(
-                    "retry", f"chunk took {outcome.retries} extra "
-                    f"attempt(s)"
-                    + (" (recovered in-process)" if outcome.recovered
-                       else ""),
-                    chunk_index=index)
-            profiler.record_chunk(record)
+        record_outcome(profiler, outcome, index, record)
     return {name: Stream(name, data) for name, data in outputs.items()}

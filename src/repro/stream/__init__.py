@@ -18,12 +18,16 @@ first-class, backend-independent API:
   the CPU directly (:class:`~repro.stream.executor.CpuExecutor`) or on a
   :class:`~repro.gpu.device.VirtualGPU`
   (:class:`~repro.stream.executor.GpuExecutor`), where streams become
-  textures and kernel applications become render-to-texture passes.
+  textures and kernel applications become render-to-texture passes;
+* :func:`~repro.stream.optimize.fuse_elementwise` — the pass-fusion
+  compiler, folding single-consumer kernel chains into one render pass.
 
-The hand-tuned AMC implementation of :mod:`repro.core.amc_gpu`
-specializes this model (managing its own ping-pongs and fusion); the
-framework here is the general-purpose surface a user of the library
-builds *other* hyperspectral pipelines with — see
+The paper's Fig. 4 AMC pipeline has one encoding,
+:mod:`repro.core.amc_gpu`, which specializes this model by hand (its
+own ping-pongs, band-group batching and a K x 1 offset lookup texture
+no stage graph can hold, since every stream of a graph shares one
+shape).  The framework here is the general-purpose surface a user of
+the library builds *other* hyperspectral pipelines with — see
 ``examples/stream_pipeline.py``.
 """
 
@@ -31,7 +35,7 @@ from repro.stream.chunked import graph_halo, plan_stream_chunks, run_chunked
 from repro.stream.executor import CpuExecutor, GpuExecutor
 from repro.stream.graph import FusedStep, StageGraph, Step
 from repro.stream.kernel import FusedKernel, StreamKernel
-from repro.stream.optimize import fuse_elementwise, optimize
+from repro.stream.optimize import fuse_elementwise
 from repro.stream.stream import Stream
 
 __all__ = [
@@ -45,7 +49,6 @@ __all__ = [
     "StreamKernel",
     "fuse_elementwise",
     "graph_halo",
-    "optimize",
     "plan_stream_chunks",
     "run_chunked",
 ]

@@ -1,39 +1,26 @@
-"""Graph optimization passes for stage graphs.
+"""The pass-fusion compiler for stage graphs.
 
 A stage graph is data, so it can be transformed before execution.
-Three passes are provided — the ones that matter for generated graphs
-like those of :mod:`repro.stream.amc_stages`, where builders emit steps
-mechanically:
-
-* :func:`eliminate_dead_steps` — drop every step whose output cannot
-  reach a declared graph output (dead code elimination).  Builders that
-  compute more than a caller asked for stop paying for it.
-* :func:`collapse_copies` — remove pure-copy steps (a kernel whose body
-  is exactly one zero-offset fetch of a single input, or that fetch
-  plus addition of a zero constant) by rewiring consumers to the copy's
-  source.  Copies that *are* graph outputs are kept (their name is part
-  of the contract).
-* :func:`fuse_elementwise` — the pass-fusion compiler: fold chains of
-  single-consumer steps into one :class:`~repro.stream.graph.FusedStep`
-  so the intermediate textures are never materialized and the chain
-  costs one render pass.  Intermediates consumed only at zero offset
-  are *inlined* (the producer's body substituted at the fetch site);
-  intermediates read at fixed offsets become in-launch *parts*.
-  Because one fused launch evaluates every member body under a single
-  structurally-keyed memo, loop-invariant fetches and uniform-only
-  subexpressions shared between members are hoisted automatically —
-  they evaluate once per fused launch instead of once per original
-  pass.
+:func:`fuse_elementwise` folds chains of single-consumer steps into one
+:class:`~repro.stream.graph.FusedStep`, so the intermediate textures are
+never materialized and the chain costs one render pass.  Intermediates
+consumed only at zero offset are *inlined* (the producer's body
+substituted at the fetch site); intermediates read at fixed offsets
+become in-launch *parts*.  Because one fused launch evaluates every
+member body under a single structurally-keyed memo, loop-invariant
+fetches and uniform-only subexpressions shared between members are
+hoisted automatically — they evaluate once per fused launch instead of
+once per original pass.
 
 Fusion blockers (a step starts a new group): multi-consumer
 intermediates, declared graph outputs (their name is part of the
 contract), kernels with dependent fetches (unbounded reach), and the
 ``max_group`` register-pressure bound.
 
-All passes preserve semantics exactly: the executors produce
-bit-identical streams for the declared outputs (asserted by the test
-suite), and :func:`repro.stream.chunked.graph_halo` of a fused graph
-equals the dependency radius of the unfused chain.
+Fusion preserves semantics exactly: the executors produce bit-identical
+streams for the declared outputs (asserted by the test suite), and
+:func:`repro.stream.chunked.graph_halo` of a fused graph equals the
+dependency radius of the unfused chain.
 """
 
 from __future__ import annotations
@@ -45,67 +32,6 @@ from repro.gpu import shaderir as ir
 from repro.gpu.shader import FragmentShader
 from repro.stream.graph import FusedStep, StageGraph, Step
 from repro.stream.kernel import FusedKernel
-
-
-def eliminate_dead_steps(graph: StageGraph) -> StageGraph:
-    """Drop steps that cannot reach any declared output."""
-    needed: set[str] = set(graph.outputs)
-    keep: list[Step] = []
-    for step in reversed(graph.steps):
-        if step.output in needed:
-            keep.append(step)
-            needed.update(step.inputs.values())
-    keep.reverse()
-    if not keep:
-        raise StreamError(
-            f"graph {graph.name!r}: no step reaches the declared outputs")
-    return StageGraph(graph.name, inputs=graph.inputs,
-                      steps=tuple(keep), outputs=graph.outputs)
-
-
-def _copy_source(step: Step) -> str | None:
-    """If ``step`` is a pure copy, return the stream it copies."""
-    body = step.kernel.shader.body
-    # form 1: a bare zero-offset fetch
-    if isinstance(body, ir.TexFetch) and body.dx == 0 and body.dy == 0:
-        return step.inputs[body.sampler]
-    # form 2: fetch + literal zero (the idiom amc_stages uses to alias)
-    if isinstance(body, ir.Op) and body.op == "add":
-        a, b = body.args
-        fetch, const = (a, b) if isinstance(a, ir.TexFetch) else (b, a)
-        if isinstance(fetch, ir.TexFetch) and fetch.dx == 0 \
-                and fetch.dy == 0 and isinstance(const, ir.Const) \
-                and const.values == (0.0, 0.0, 0.0, 0.0):
-            return step.inputs[fetch.sampler]
-    return None
-
-
-def collapse_copies(graph: StageGraph) -> StageGraph:
-    """Rewire consumers of pure-copy steps to the copied stream."""
-    alias: dict[str, str] = {}
-    steps: list[Step] = []
-    outputs = set(graph.outputs)
-
-    def resolve(name: str) -> str:
-        while name in alias:
-            name = alias[name]
-        return name
-
-    for step in graph.steps:
-        rewired = {sampler: resolve(source)
-                   for sampler, source in step.inputs.items()}
-        source = _copy_source(step)
-        if source is not None and step.output not in outputs:
-            alias[step.output] = resolve(source)
-            continue
-        if rewired != step.inputs:
-            step = Step(step.kernel, rewired, step.output, step.uniforms)
-        steps.append(step)
-    if not steps:
-        raise StreamError(
-            f"graph {graph.name!r}: nothing left after copy collapsing")
-    return StageGraph(graph.name, inputs=graph.inputs,
-                      steps=tuple(steps), outputs=graph.outputs)
 
 
 def _canonical_uniform(value) -> np.ndarray:
@@ -259,13 +185,3 @@ def fuse_elementwise(graph: StageGraph, *,
     return StageGraph(graph.name, inputs=graph.inputs,
                       steps=tuple(steps), outputs=graph.outputs)
 
-
-def optimize(graph: StageGraph, *, fuse: bool = True,
-             max_group: int = 8) -> StageGraph:
-    """Run all passes (copies first so DCE sees the rewired uses, then
-    pass fusion over the cleaned graph).  ``fuse=False`` keeps the
-    historical unfused pipeline as the bit-identity oracle."""
-    graph = eliminate_dead_steps(collapse_copies(graph))
-    if fuse:
-        graph = fuse_elementwise(graph, max_group=max_group)
-    return graph

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import classify_abundances, unmix_lsu
 from repro.core.unmix_gpu import gpu_unmix_classify
-from repro.errors import ShapeError
+from repro.errors import ShapeError, StreamError
 from repro.gpu import GEFORCE_7800GTX, VirtualGPU
 
 
@@ -72,6 +72,17 @@ class TestDeviceBehaviour:
         cube, endmembers, _ = problem
         device = VirtualGPU(GEFORCE_7800GTX)
         gpu_unmix_classify(cube, endmembers, device=device)
+        assert device.vram.used == 0
+
+    def test_board_too_small_raises_before_allocating(self):
+        """A board that cannot hold one line of the working set is
+        refused by the chunk planner, not by a mid-chunk allocation."""
+        rng = np.random.default_rng(4)
+        cube = rng.uniform(0.05, 1.0, size=(12, 10, 21))
+        device = VirtualGPU(GEFORCE_7800GTX.with_(vram_bytes=1024))
+        with pytest.raises(StreamError, match="VRAM"):
+            gpu_unmix_classify(cube, rng.uniform(0.05, 1.0, size=(3, 21)),
+                               device=device)
         assert device.vram.used == 0
 
     def test_counters_and_time(self, problem):

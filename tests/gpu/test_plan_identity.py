@@ -34,11 +34,6 @@ from repro.stream import (
     StreamKernel,
     fuse_elementwise,
 )
-from repro.stream.amc_stages import (
-    build_cumulative_graph,
-    build_normalization_graph,
-    group_streams,
-)
 from repro.stream.kernel import map_binary, map_scale_bias, stencil_sum
 
 H, W = 6, 7
@@ -115,21 +110,43 @@ def _stencil_chain():
         outputs=("out",))
 
 
+def _masked_reduction_chain(rng):
+    """zero -> four ``acc + dot(src_i at an offset, mask)`` steps.
+
+    Each step binds its own ``mask`` uniform: steps 0, 1 and 3 share one
+    value (deduped to one slot), step 2's differs (renamed
+    ``mask_f2``).  Step 2 reads its accumulator at an offset, so step
+    1's output stays a materialized in-launch part."""
+    offsets = ((0, 0), (1, 0), (0, 1), (-1, -1))
+    acc_offsets = ((0, 0), (0, 0), (0, -1), (0, 0))
+    shared = rng.uniform(-1.0, 1.0, size=4).astype(np.float32)
+    masks = (shared, shared,
+             rng.uniform(-1.0, 1.0, size=4).astype(np.float32), shared)
+    steps = []
+    acc = "zero"
+    for i, ((dx, dy), (adx, ady), mask) in enumerate(
+            zip(offsets, acc_offsets, masks)):
+        body = ir.add(ir.TexFetch("acc", adx, ady),
+                      ir.dot4(ir.TexFetch("src", dx, dy), ir.Uniform("mask")))
+        kernel = StreamKernel.from_expression(
+            f"red{i}", body, inputs=("acc", "src"), uniforms=("mask",))
+        out = "out" if i == len(offsets) - 1 else f"r{i}"
+        steps.append(Step(kernel, {"acc": acc, "src": f"src{i}"}, out,
+                          uniforms={"mask": mask}))
+        acc = out
+    inputs = {"zero": Stream.zeros("zero", H, W)}
+    for i in range(len(offsets)):
+        inputs[f"src{i}"] = Stream(
+            f"src{i}", rng.uniform(0.05, 1.0, size=(H, W, 4)))
+    graph = StageGraph("masked-reduction", inputs=tuple(inputs),
+                       steps=tuple(steps), outputs=("out",))
+    return graph, inputs
+
+
 def _fused_graphs(rng):
     yield _stencil_chain(), {
         "x": Stream.from_scalar("x", rng.uniform(size=(H, W)))}
-    cube = rng.uniform(0.05, 1.0, size=(H, W, 10)).astype(np.float32)
-    norm = build_normalization_graph(bands=10)
-    norm_inputs = group_streams(cube)
-    norm_inputs["zero"] = Stream.zeros("zero", H, W)
-    yield norm, norm_inputs
-    streams = CpuExecutor().run(norm, norm_inputs)
-    cum = build_cumulative_graph(bands=10, radius=1,
-                                 pairs=((0, 1), (0, 4), (3, 8)))
-    cum_inputs = {name: streams[name].copy(name)
-                  for name in cum.inputs if name != "zero"}
-    cum_inputs["zero"] = Stream.zeros("zero", H, W)
-    yield cum, cum_inputs
+    yield _masked_reduction_chain(rng)
 
 
 def test_launch_fused_matches_unfused_oracle(monkeypatch):
@@ -138,6 +155,9 @@ def test_launch_fused_matches_unfused_oracle(monkeypatch):
     for graph, inputs in _fused_graphs(rng):
         fused = fuse_elementwise(graph)
         assert fused.step_count() < graph.step_count()
+        if graph.name == "masked-reduction":
+            (step,) = fused.steps
+            assert sorted(step.uniforms) == ["mask", "mask_f2"]
         parts.extend(len(step.kernel.part_shaders) for step in fused.steps
                      if isinstance(step, FusedStep))
         with _gather_fetches(monkeypatch):

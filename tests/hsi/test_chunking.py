@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StreamError
 from repro.hsi import HyperCube, plan_chunks, plan_chunks_by_lines
-from repro.hsi.chunking import Chunk
+from repro.hsi.chunking import Chunk, plan_chunks_for_budget
 
 
 def _cube(lines=20, samples=8, bands=4, dtype=np.float32):
@@ -58,13 +58,25 @@ class TestChunkGeometry:
         with pytest.raises(StreamError):
             plan_chunks(_cube(), halo=0, max_chunk_bytes=0)
 
-    def test_bytes_per_value_override(self):
-        # Pretend every value becomes a 4-byte texel lane: fewer lines fit.
-        small = plan_chunks(_cube(dtype=np.int16), halo=0,
-                            max_chunk_bytes=8 * 4 * 10, bytes_per_value=4)
-        large = plan_chunks(_cube(dtype=np.int16), halo=0,
-                            max_chunk_bytes=8 * 4 * 10)
-        assert len(small) > len(large)
+    def test_itemsize_sets_line_bytes(self):
+        # A line costs samples * bands values of the cube's own dtype:
+        # at one budget, float32 lines are twice the int16 ones.
+        wide = plan_chunks(_cube(dtype=np.float32), halo=0,
+                           max_chunk_bytes=8 * 4 * 10)
+        narrow = plan_chunks(_cube(dtype=np.int16), halo=0,
+                             max_chunk_bytes=8 * 4 * 10)
+        assert wide.max_ext_lines() == 2 and narrow.max_ext_lines() == 5
+        assert len(wide) == 10 and len(narrow) == 4
+
+    def test_budget_rule(self):
+        plan = plan_chunks_for_budget(40, 8, 4, line_bytes=100,
+                                      budget_bytes=1250, halo=2)
+        assert plan.max_ext_lines() == 12
+        with pytest.raises(StreamError, match="GPU VRAM budget of 499 "
+                                               "bytes fits only 4 lines"):
+            plan_chunks_for_budget(40, 8, 4, line_bytes=100,
+                                   budget_bytes=499, halo=2,
+                                   budget_name="GPU VRAM budget")
 
     def test_max_ext_lines(self):
         plan = plan_chunks_by_lines(40, 8, 4, max_ext_lines=12, halo=2)

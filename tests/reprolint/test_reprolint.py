@@ -200,7 +200,7 @@ def test_cli_json_clean_on_repo():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     document = json.loads(proc.stdout)
     assert document["findings"] == []
-    assert document["suppressed_count"] >= 10  # the audited src waivers
+    assert document["suppressed_count"] >= 9  # the audited src waivers
 
 
 def test_cli_fails_on_fixture_tree():

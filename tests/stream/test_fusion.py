@@ -24,7 +24,6 @@ from repro.stream import (
     StreamKernel,
     fuse_elementwise,
     graph_halo,
-    optimize,
     run_chunked,
 )
 from repro.stream.kernel import map_binary, map_scale_bias, stencil_sum
@@ -208,14 +207,6 @@ class TestFuseElementwise:
         assert set(step.uniforms) == {"scale", "scale_f1", "bias"}
         ref = CpuExecutor().run(graph, {"x": x_stream})
         got = CpuExecutor().run(fused, {"x": x_stream})
-        np.testing.assert_array_equal(ref["out"].data, got["out"].data)
-
-    def test_optimize_fuses_by_default(self, chain, x_stream):
-        assert optimize(chain).step_count() == 1
-        assert optimize(chain, fuse=False).step_count() == 4
-        ref = CpuExecutor().run(optimize(chain, fuse=False),
-                                {"x": x_stream})
-        got = CpuExecutor().run(optimize(chain), {"x": x_stream})
         np.testing.assert_array_equal(ref["out"].data, got["out"].data)
 
 
