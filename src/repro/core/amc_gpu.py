@@ -425,7 +425,7 @@ def gpu_morphological_stage(cube_bip: np.ndarray, radius: int = 1, *,
         for ka in range(k_count):
             for kb in range(ka + 1, k_count):
                 # cross terms over the whole stack (ping-pong reduce)
-                cross.current.data[...] = 0.0
+                gpu.clear(cross.current)
                 for start, width in batches:
                     bindings = {"acc": cross.current}
                     for i in range(width):

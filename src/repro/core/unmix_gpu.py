@@ -133,7 +133,7 @@ def gpu_unmix_classify(cube_bip: np.ndarray, endmembers: np.ndarray, *,
         abundance_tex = []
         scratch = _PingPong(gpu, h, w, "abundance")
         for j in range(c):
-            scratch.current.data[...] = 0.0
+            gpu.clear(scratch.current)
             for start, width in batches:
                 bindings = {"acc": scratch.current}
                 for i in range(width):

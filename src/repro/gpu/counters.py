@@ -46,6 +46,9 @@ class GpuCounters:
 
     launches: list[KernelLaunchRecord] = field(default_factory=list)
     transfers: list[TransferRecord] = field(default_factory=list)
+    #: Launch and transfer records together, in submission order.
+    records: list[KernelLaunchRecord | TransferRecord] = field(
+        default_factory=list)
     #: Render-to-texture passes that executed inside a composite (fused)
     #: kernel instead of as their own launch (stream-graph fusion).
     passes_fused: int = 0
@@ -57,9 +60,11 @@ class GpuCounters:
     # ------------------------------------------------------------ recording
     def record_launch(self, record: KernelLaunchRecord) -> None:
         self.launches.append(record)
+        self.records.append(record)
 
     def record_transfer(self, record: TransferRecord) -> None:
         self.transfers.append(record)
+        self.records.append(record)
 
     def record_fusion(self, *, passes_fused: int = 0,
                       temporaries_elided: int = 0) -> None:
@@ -71,6 +76,7 @@ class GpuCounters:
         """Clear all recorded activity."""
         self.launches.clear()
         self.transfers.clear()
+        self.records.clear()
         self.passes_fused = 0
         self.temporaries_elided = 0
 

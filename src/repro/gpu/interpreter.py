@@ -26,6 +26,15 @@ a shader compiler performs.  The plan is cached on the shader
 :func:`execute_lazy` or :func:`execute_fused_lazy` is a loop over slots:
 no IR walk, no per-node type dispatch, no structural hashing.
 
+:func:`execute_stacked` runs B launches whose plans are equal up to
+fetch offsets (the per-SE-offset-pair kernels of the AMC pipeline) as
+one evaluation over a leading batch axis: each step is the NumPy
+operation the plan issues, on (B, H, W, 4) operands, so every slice
+holds one launch's texels byte for byte while the per-operation
+overhead is paid once per stack instead of once per launch.  The shape
+it compares, :func:`stack_signature`, is a compile product cached on
+the shader like the plan.
+
 :func:`execute` keeps the historical recursive evaluator with a
 per-launch structural memo (:func:`_eval`) as the device's oracle: the
 tests compare the compiled plans against it, and the host-side stream
@@ -51,7 +60,9 @@ def _fetch_static(texture: np.ndarray, dx: int, dy: int) -> np.ndarray:
 
     Both the compiled plans and the recursive oracle fetch through this
     module global, so a patched ``_fetch_static`` sees every fixed-offset
-    fetch either path issues."""
+    fetch either path issues.  A stacked evaluation reads a texture all
+    its launches bind from an edge-padded table instead
+    (:func:`_offset_table`): the same texels."""
     return shifted_copy(texture, dy, dx)
 
 
@@ -115,8 +126,30 @@ def _cmp_ge(a, b):
 def _dot(a, b):
     prod = a * b
     summed = prod.sum(axis=-1, dtype=_F32, keepdims=True)
-    return np.broadcast_to(summed, prod.shape if prod.ndim == 3
+    return np.broadcast_to(summed, prod.shape if prod.ndim >= 3
                            else (4,)).astype(_F32, copy=False)
+
+
+_ZERO = _F32(0.0)
+
+
+def _dot_stacked(a, b):
+    """:func:`_dot` as a zero-seeded lane sum, ``(((0 + x) + y) + z) + w``,
+    returned as one lane (``(..., 1)``) for later operations to
+    broadcast.
+
+    NumPy's float32 reduction over four lanes starts from the additive
+    identity and adds the lanes in order, so these are the same texels
+    byte for byte — signed zeros included: an unseeded ``x + y`` start
+    keeps a ``-0.0`` sum that the reduction turns into ``+0.0``.  On a
+    stacked operand it costs a fraction of the reduction."""
+    prod = a * b
+    if prod.shape[-1] == 1:  # both operands one-lane DP4 results
+        prod = np.broadcast_to(prod, (*prod.shape[:-1], 4))
+    summed = _ZERO + prod[..., 0:1]
+    for lane in range(1, 4):
+        summed = summed + prod[..., lane:lane + 1]
+    return summed
 
 
 def _fetch_dyn(coord, tex, height, width):
@@ -384,6 +417,183 @@ def _run(plan: Plan, ctx: ShaderContext) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Stacked evaluation: launches that share a plan shape
+# ---------------------------------------------------------------------------
+
+#: The ``_CALL`` steps whose results broadcast against a leading batch
+#: axis.  Dependent fetches, Combine and Select build full-extent
+#: (H, W, 4) values, so plans with them run launch by launch.
+_STACKABLE_CALLS = (_step_uniform, _step_fragcoord, _step_swizzle)
+
+
+class StackSignature:
+    """A compiled plan's shape with its fixed fetch offsets factored out.
+
+    Attributes
+    ----------
+    key:
+        Hashable; two shaders with equal keys compile to plans issuing
+        the same steps on the same register slots, differing at most in
+        the offsets of their fixed-offset fetches.  ``None`` for a plan
+        that cannot run stacked.
+    offsets:
+        The plan's ``(dx, dy)`` per fetch step, in step order.
+    drops:
+        Per step, the register slots whose last use it is.
+    """
+
+    __slots__ = ("key", "offsets", "drops")
+
+    def __init__(self, key, offsets, drops):
+        self.key = key
+        self.offsets = offsets
+        self.drops = drops
+
+
+def _build_signature(shader: FragmentShader) -> StackSignature:
+    plan = shader.compiled("plan", _compile_shader)
+    shape: list[tuple] = []
+    offsets: list[tuple[int, int]] = []
+    last_use: dict[int, int] = {}
+    for index, (kind, op, a, b) in enumerate(plan.steps):
+        if kind == _FETCH:
+            shape.append((kind, op))
+            offsets.append((a, b))
+            continue
+        if kind == _CALL and op not in _STACKABLE_CALLS:
+            return StackSignature(None, (), ())
+        if kind == _BINARY:
+            last_use[a] = last_use[b] = index
+        elif kind == _UNARY or op is _step_swizzle:
+            last_use[a] = index
+        shape.append((kind, op, a, tuple(b) if isinstance(b, list) else b))
+    drops: list[list[int]] = [[] for _ in plan.steps]
+    for slot, index in last_use.items():
+        if slot != plan.out:
+            drops[index].append(slot)
+    key = (tuple(c.tobytes() for c in plan.consts), tuple(shape), plan.out)
+    return StackSignature(key, tuple(offsets),
+                          tuple(tuple(d) for d in drops))
+
+
+def stack_signature(shader: FragmentShader) -> StackSignature:
+    """``shader``'s :class:`StackSignature`, a compile product cached on
+    the shader like its plan."""
+    return shader.compiled("stack", _build_signature)
+
+
+def _shared_rows(plan: Plan, textures, fetch_offsets):
+    """Which fetch steps of a stack read a texture every launch binds
+    (a band group of the normalized stack, say), and at what offsets.
+
+    Returns sampler -> (offset -> table row) for those samplers, and
+    sampler -> index of its last fetch step.
+    """
+    rows_of: dict[str, dict[tuple[int, int], int]] = {}
+    last: dict[str, int] = {}
+    fetch = 0
+    for kind, sampler, _, _ in plan.steps:
+        if kind != _FETCH:
+            continue
+        ids = list(map(id, textures[sampler]))
+        if ids.count(ids[0]) == len(ids):
+            rows = rows_of.setdefault(sampler, {})
+            for offset in fetch_offsets[fetch]:
+                rows.setdefault(offset, len(rows))
+            last[sampler] = fetch
+        fetch += 1
+    return rows_of, last
+
+
+def _offset_table(texture: np.ndarray, rows) -> np.ndarray:
+    """``texture`` at every offset of ``rows``, one per table row.
+
+    The texture is edge-padded once and each window copied out:
+    clamp-to-edge addressing, so the texels :func:`_fetch_static`
+    copies, for all offsets at once.
+    """
+    height, width = texture.shape[:2]
+    pad = max(max(abs(dx), abs(dy)) for dx, dy in rows)
+    padded = np.pad(texture, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
+    return np.stack([
+        padded[pad + dy:pad + dy + height, pad + dx:pad + dx + width]
+        for dx, dy in rows])
+
+
+def _fetch_stacked(sources, offsets, table, rows) -> np.ndarray:
+    """One fixed-offset fetch step of every launch in a stack.
+
+    ``table`` and ``rows`` hold the texture every launch binds at each
+    offset, or are ``None`` when the launches bind different textures.
+    (H, W, 4) when every launch reads the same texels, which broadcasts
+    over the batch axis; else (B, H, W, 4).
+    """
+    if table is not None:
+        index = [rows[offset] for offset in offsets]
+        if index.count(index[0]) == len(index):
+            return table[index[0]]
+        return table[index]
+    if offsets.count((0, 0)) == len(offsets):
+        return np.stack(sources)
+    return np.stack([_fetch_static(source, dx, dy)
+                     for source, (dx, dy) in zip(sources, offsets)])
+
+
+def execute_stacked(shader: FragmentShader, offsets,
+                    height: int, width: int,
+                    textures: dict[str, list[np.ndarray]],
+                    uniforms: dict[str, list[np.ndarray]]) -> np.ndarray:
+    """Run B launches of one plan shape as one evaluation.
+
+    ``shader`` is any one of the launches' shaders (their
+    :func:`stack_signature` keys are equal); ``offsets[j]`` is the
+    fetch offsets of launch *j*'s shader; ``textures`` and ``uniforms``
+    map each binding to its B per-launch values, textures of the
+    target's extents and uniforms already coerced.  Every step is the
+    NumPy operation :func:`_run` issues, over a leading batch axis (the
+    DP4 as :func:`_dot_stacked`, its one-lane result broadcasting
+    later), so slice *j* of the result (which broadcasts to
+    (B, H, W, 4)) holds launch *j*'s texels byte for byte.  Registers
+    are released at their last use.
+    """
+    plan = shader.compiled("plan", _compile_shader)
+    signature = stack_signature(shader)
+    regs = list(plan.consts)
+    append = regs.append
+    ctx = ShaderContext(height, width, {}, {})
+    fetch_offsets = list(zip(*offsets))  # per fetch step, B offsets
+    rows_of, last_fetch = _shared_rows(plan, textures, fetch_offsets)
+    tables: dict[str, np.ndarray] = {}  # built at first use, dropped at last
+    fetch = 0
+    for (kind, op, a, b), drop in zip(plan.steps, signature.drops):
+        if kind == _BINARY:
+            append((_dot_stacked if op is _dot else op)(regs[a], regs[b]))
+        elif kind == _FETCH:
+            rows = rows_of.get(op)
+            table = None
+            if rows is not None:
+                table = tables.get(op)
+                if table is None:
+                    table = tables[op] = _offset_table(textures[op][0], rows)
+                if last_fetch[op] == fetch:
+                    del tables[op]
+            append(_fetch_stacked(textures[op], fetch_offsets[fetch], table,
+                                  rows))
+            fetch += 1
+        elif kind == _UNARY:
+            append(op(regs[a]))
+        elif op is _step_uniform:
+            append(np.stack(uniforms[a])[:, None, None, :])
+        elif op is _step_swizzle and regs[a].shape[-1] == 1:
+            append(regs[a])  # every lane of a DP4 result is the same
+        else:
+            append(op(ctx, regs, a, b))
+        for slot in drop:
+            regs[slot] = None
+    return regs[plan.out]
+
+
+# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -440,15 +650,34 @@ def execute_lazy(shader: FragmentShader, height: int, width: int,
     than the full target (a constant or uniform result broadcasts) and
     may *alias an input texture* (a zero-offset copy kernel) or a
     read-only constant register.  Callers own the final
-    materialization — :meth:`VirtualGPU.launch
-    <repro.gpu.device.VirtualGPU.launch>` broadcasts the result into
-    the target texture directly, eliding the interpreter's scratch
-    temporary.
+    materialization — :meth:`VirtualGPU.flush
+    <repro.gpu.device.VirtualGPU.flush>` broadcasts the result into a
+    fresh version of the target texture directly, eliding the
+    interpreter's scratch temporary.
     """
     plan = shader.compiled("plan", _compile_shader)
     tex_arrays = _coerce_textures(shader.name, plan.samplers, textures)
     uni_arrays = _coerce_uniforms(shader.name, plan.uniforms, uniforms)
     return _run(plan, ShaderContext(height, width, tex_arrays, uni_arrays))
+
+
+def coerce_bindings(shader: FragmentShader,
+                    textures: dict[str, np.ndarray],
+                    uniforms: dict[str, np.ndarray] | None = None):
+    """Check one launch's bindings against ``shader``'s compiled plan.
+
+    Returns the float32 texture arrays and the coerced (copied) uniform
+    4-vectors.
+
+    Raises
+    ------
+    ShaderError
+        If a binding is missing, a texture is not (H, W, 4) or a uniform
+        has neither 1 nor 4 components.
+    """
+    plan = shader.compiled("plan", _compile_shader)
+    return (_coerce_textures(shader.name, plan.samplers, textures),
+            _coerce_uniforms(shader.name, plan.uniforms, uniforms))
 
 
 def _coerce_textures(kernel: str, samplers, textures) -> dict[str, np.ndarray]:
@@ -477,7 +706,8 @@ def _coerce_uniforms(kernel: str, declared, uniforms) -> dict[str, np.ndarray]:
     uni_arrays: dict[str, np.ndarray] = {}
     if uniforms:
         for name, value in uniforms.items():
-            v = np.asarray(value, dtype=_F32).reshape(-1)
+            # A copy: a queued launch must not see later host writes.
+            v = np.array(value, dtype=_F32).reshape(-1)
             if v.size == 1:
                 v = np.repeat(v, 4)
             if v.size != 4:

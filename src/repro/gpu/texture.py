@@ -10,8 +10,6 @@ a channel mask so reduction kernels can ignore the padding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ShapeError
@@ -23,14 +21,18 @@ CHANNELS: int = 4
 TEXEL_BYTES: int = 4 * CHANNELS
 
 
-@dataclass
 class Texture2D:
     """A float32 RGBA texture resident in (virtual) VRAM.
 
     Attributes
     ----------
     data:
-        (height, width, 4) float32 array.
+        (height, width, 4) float32 array.  Host access is synchronising,
+        like ``glReadPixels``: while launches queued on a device read or
+        write this texture, reading or assigning ``data`` first flushes
+        that device's queue (:meth:`VirtualGPU.flush
+        <repro.gpu.device.VirtualGPU.flush>`).  ``height``, ``width`` and
+        ``nbytes`` never flush.
     handle:
         Allocation handle in the owning device's VRAM allocator, or -1
         for textures not yet bound to a device.
@@ -38,28 +40,49 @@ class Texture2D:
         Debug name carried into counter records.
     """
 
-    data: np.ndarray
-    handle: int = -1
-    label: str = ""
+    __slots__ = ("_data", "handle", "label", "_pending", "_version")
 
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float32)
+    def __init__(self, data: np.ndarray, handle: int = -1,
+                 label: str = "") -> None:
+        data = np.asarray(data, dtype=np.float32)
         if data.ndim != 3 or data.shape[2] != CHANNELS:
             raise ShapeError(
                 f"a Texture2D is (H, W, 4) float32, got shape {data.shape}")
-        self.data = data
+        self._data = data
+        self.handle = handle
+        self.label = label
+        # The device whose queued launches read or write this texture, and
+        # the queued value that lands in ``_data`` when that device flushes.
+        self._pending = None
+        self._version = None
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._pending is not None:
+            self._pending.flush()
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        if self._pending is not None:
+            self._pending.flush()
+        self._data = value
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self._data.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self._data.shape[1]
 
     @property
     def nbytes(self) -> int:
         return self.height * self.width * TEXEL_BYTES
+
+    def __repr__(self) -> str:
+        return (f"Texture2D({self.label or 'unnamed'!r}, "
+                f"{self.height}x{self.width}, handle={self.handle})")
 
     @classmethod
     def zeros(cls, height: int, width: int, *, label: str = "") -> "Texture2D":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from repro.gpu.counters import GpuCounters
+from repro.gpu.counters import GpuCounters, TransferRecord
 
 
 def build_timeline(counters: GpuCounters) -> list[dict]:
@@ -21,55 +21,34 @@ def build_timeline(counters: GpuCounters) -> list[dict]:
 
     Returns trace events (``ph: "X"`` complete events, microsecond
     timestamps) on two rows: pid 1 / tid 1 = kernel queue, tid 2 = bus.
-    Kernel events carry the per-launch breakdown as args.
+    Records are replayed in submission order (``counters.records``), so
+    each chunk's uploads precede its kernels and its downloads precede
+    the next chunk's uploads.  Kernel events carry the per-launch
+    breakdown as args.
     """
     events: list[dict] = []
     cursor_us = 0.0
-    # interleave in recorded order: transfers and launches each keep
-    # their own submission order; merge by replaying both lists the way
-    # the device recorded them (uploads precede the launches that use
-    # them because record order is call order).
-    merged: list[tuple[str, object]] = [("launch", r)
-                                        for r in counters.launches]
-    merged += [("transfer", t) for t in counters.transfers]
-    # stable order proxy: the device appends to each list as calls
-    # happen, but relative order across lists is not stored; transfers
-    # first is the faithful choice for this pipeline (uploads happen
-    # before kernels, downloads after — and downloads are few).
-    uploads = [t for t in counters.transfers if t.direction == "upload"]
-    downloads = [t for t in counters.transfers if t.direction == "download"]
-
-    for transfer in uploads:
-        duration = transfer.modeled_time_s * 1e6
-        events.append({
-            "name": f"upload {transfer.nbytes >> 10} KiB",
-            "cat": "transfer", "ph": "X", "pid": 1, "tid": 2,
-            "ts": cursor_us, "dur": duration,
-            "args": {"bytes": transfer.nbytes},
-        })
-        cursor_us += duration
-    for record in counters.launches:
+    for record in counters.records:
         duration = record.modeled_time_s * 1e6
-        events.append({
-            "name": record.kernel,
-            "cat": "kernel", "ph": "X", "pid": 1, "tid": 1,
-            "ts": cursor_us, "dur": duration,
-            "args": {
-                "fragments": record.fragments,
-                "cycles_per_fragment": record.cycles_per_fragment,
-                "compute_us": record.compute_time_s * 1e6,
-                "memory_us": record.memory_time_s * 1e6,
-            },
-        })
-        cursor_us += duration
-    for transfer in downloads:
-        duration = transfer.modeled_time_s * 1e6
-        events.append({
-            "name": f"download {transfer.nbytes >> 10} KiB",
-            "cat": "transfer", "ph": "X", "pid": 1, "tid": 2,
-            "ts": cursor_us, "dur": duration,
-            "args": {"bytes": transfer.nbytes},
-        })
+        if isinstance(record, TransferRecord):
+            events.append({
+                "name": f"{record.direction} {record.nbytes >> 10} KiB",
+                "cat": "transfer", "ph": "X", "pid": 1, "tid": 2,
+                "ts": cursor_us, "dur": duration,
+                "args": {"bytes": record.nbytes},
+            })
+        else:
+            events.append({
+                "name": record.kernel,
+                "cat": "kernel", "ph": "X", "pid": 1, "tid": 1,
+                "ts": cursor_us, "dur": duration,
+                "args": {
+                    "fragments": record.fragments,
+                    "cycles_per_fragment": record.cycles_per_fragment,
+                    "compute_us": record.compute_time_s * 1e6,
+                    "memory_us": record.memory_time_s * 1e6,
+                },
+            })
         cursor_us += duration
     return events
 

@@ -202,3 +202,164 @@ class TestCompileOnce:
                                     {"x": tex})
         # one joint plan; one static cost per part
         assert compiles == {"plan": 1, "cost": 2}
+
+
+class TestCommandQueue:
+    """Launches queue; a flush runs them, stacking equal plan shapes."""
+
+    @staticmethod
+    def _shift_shader(dx, dy, nested=False):
+        dot = ir.dot4(ir.TexFetch("a", dx, dy), ir.Uniform("u"))
+        if nested:  # a DP4 of DP4 results
+            dot = ir.dot4(dot, ir.dot4(ir.TexFetch("acc"),
+                                       ir.TexFetch("a", dy, dx)))
+        body = ir.add(ir.TexFetch("acc"), dot)
+        return FragmentShader(f"shift_{dx}_{dy}", body,
+                              samplers=("acc", "a"), uniforms=("u",))
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_offset_variants_stack_and_match_oracle(self, gpu, rng,
+                                                    monkeypatch, nested):
+        import repro.gpu.device as device_mod
+        from repro.gpu.interpreter import execute
+
+        stacks = []
+        real = device_mod.execute_stacked
+
+        def counting(shader, offsets, *args):
+            stacks.append(len(offsets))
+            return real(shader, offsets, *args)
+
+        monkeypatch.setattr(device_mod, "execute_stacked", counting)
+        data = rng.uniform(-1, 1, size=(6, 5, 4)).astype(np.float32)
+        acc = rng.uniform(-1, 1, size=(6, 5, 4)).astype(np.float32)
+        tex, acc_tex = gpu.upload(data), gpu.upload(acc)
+        offsets = [(1, 0), (-2, 1), (0, -1), (1, 2)]
+        targets = []
+        for i, (dx, dy) in enumerate(offsets):
+            target = gpu.create_target(6, 5)
+            gpu.launch(self._shift_shader(dx, dy, nested), target,
+                       {"acc": acc_tex, "a": tex}, {"u": np.float32(i)})
+            targets.append(target)
+        assert stacks == []  # nothing ran yet
+        for i, ((dx, dy), target) in enumerate(zip(offsets, targets)):
+            want = execute(self._shift_shader(dx, dy, nested), 6, 5,
+                           {"acc": acc, "a": data}, {"u": np.float32(i)})
+            assert target.data.tobytes() == want.tobytes()
+        assert stacks == [len(offsets)]
+
+    def test_dependent_launches_keep_program_order(self, gpu, rng):
+        shader = FragmentShader("inc", ir.add(ir.TexFetch("a"), 1.0),
+                                samplers=("a",))
+        ping, pong = gpu.create_target(3, 3), gpu.create_target(3, 3)
+        for _ in range(5):
+            gpu.launch(shader, pong, {"a": ping})
+            ping, pong = pong, ping
+        assert np.all(gpu.download(ping) == 5.0)
+        assert np.all(pong.data == 4.0)
+
+    def test_host_write_waits_for_queued_reads(self, gpu, double_shader,
+                                               rng):
+        data = rng.uniform(size=(4, 4, 4)).astype(np.float32)
+        tex = gpu.upload(data)
+        target = gpu.create_target(4, 4)
+        gpu.launch(double_shader, target, {"a": tex})
+        tex.data[...] = 0.0  # the queued launch already read ``data``
+        np.testing.assert_array_equal(target.data, data * 2)
+
+    def test_clear_is_queued_and_unrecorded(self, gpu, double_shader, rng):
+        tex = gpu.upload(rng.uniform(size=(4, 4, 4)).astype(np.float32))
+        target = gpu.create_target(4, 4)
+        gpu.launch(double_shader, target, {"a": tex})
+        gpu.clear(tex)
+        out = gpu.create_target(4, 4)
+        gpu.launch(double_shader, out, {"a": tex})
+        assert gpu.counters.kernel_launch_count == 2
+        assert np.all(gpu.download(out) == 0.0)
+        assert np.all(tex.data == 0.0)
+        assert np.all(target.data > 0.0)
+
+    def test_free_does_not_flush(self, gpu, double_shader, rng):
+        data = rng.uniform(size=(4, 4, 4)).astype(np.float32)
+        tex = gpu.upload(data)
+        target = gpu.create_target(4, 4)
+        gpu.launch(double_shader, target, {"a": tex})
+        gpu.free(tex, target)
+        assert gpu.vram.used == 0
+        assert target._version is not None  # still queued
+        np.testing.assert_array_equal(target.data, data * 2)
+
+    def test_superseded_versions_are_dropped(self, gpu, double_shader, rng):
+        tex = gpu.upload(rng.uniform(size=(4, 4, 4)).astype(np.float32))
+        scratch, out = gpu.create_target(4, 4), gpu.create_target(4, 4)
+        gpu.launch(double_shader, scratch, {"a": tex})
+        first = scratch._version
+        gpu.launch(double_shader, out, {"a": scratch})
+        gpu.launch(double_shader, scratch, {"a": tex})  # supersedes first
+        gpu.flush()
+        assert first.array is None
+
+    def test_queue_flushes_past_its_texel_budget(self, gpu, double_shader,
+                                                 monkeypatch):
+        import repro.gpu.device as device_mod
+
+        monkeypatch.setattr(device_mod, "QUEUE_TEXELS", 32)
+        tex = gpu.upload(np.ones((4, 4, 4), dtype=np.float32))
+        targets = [gpu.create_target(4, 4) for _ in range(3)]
+        for target in targets:
+            gpu.launch(double_shader, target, {"a": tex})
+        # the third launch found 32 texels queued and flushed them
+        assert [t._version is None for t in targets] == [True, True, False]
+
+
+class TestLaunchErrorTiming:
+    """A refused launch raises at the call, not at a later download,
+    and leaves nothing queued."""
+
+    @pytest.fixture()
+    def queued(self, gpu, double_shader, rng):
+        data = rng.uniform(size=(4, 4, 4)).astype(np.float32)
+        tex = gpu.upload(data)
+        target = gpu.create_target(4, 4)
+        gpu.launch(double_shader, target, {"a": tex})
+        return tex, target, data
+
+    @staticmethod
+    def _assert_only_first_queued(gpu, queued, *untouched):
+        tex, target, data = queued
+        assert len(gpu._commands) == 1
+        assert gpu.counters.kernel_launch_count == 1
+        assert all(t._pending is None for t in untouched)
+        np.testing.assert_array_equal(gpu.download(target), data * 2)
+
+    def test_missing_binding(self, gpu, queued):
+        shader = FragmentShader("two", ir.add(ir.TexFetch("a"),
+                                              ir.TexFetch("b")),
+                                samplers=("a", "b"))
+        other = gpu.create_target(4, 4)
+        with pytest.raises(ShaderError, match="missing texture"):
+            gpu.launch(shader, other, {"a": queued[0]})
+        self._assert_only_first_queued(gpu, queued, other)
+
+    def test_wrongly_shaped_texture(self, gpu, double_shader, queued):
+        bad, other = gpu.create_target(4, 4), gpu.create_target(4, 4)
+        bad.data = np.zeros((4, 4, 3), dtype=np.float32)
+        with pytest.raises(ShaderError, match="must be"):
+            gpu.launch(double_shader, other, {"a": bad})
+        self._assert_only_first_queued(gpu, queued, bad, other)
+
+    def test_bad_uniform(self, gpu, queued):
+        shader = FragmentShader("scale", ir.mul(ir.TexFetch("a"),
+                                                ir.Uniform("g")),
+                                samplers=("a",), uniforms=("g",))
+        other = gpu.create_target(4, 4)
+        with pytest.raises(ShaderError, match="components"):
+            gpu.launch(shader, other, {"a": queued[0]},
+                       {"g": np.ones(3, dtype=np.float32)})
+        self._assert_only_first_queued(gpu, queued, other)
+
+    def test_self_bound_target(self, gpu, double_shader, queued):
+        other = gpu.create_target(4, 4)
+        with pytest.raises(ShaderError, match="ping-pong"):
+            gpu.launch(double_shader, other, {"a": other})
+        self._assert_only_first_queued(gpu, queued, other)

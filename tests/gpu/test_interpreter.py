@@ -195,3 +195,24 @@ class TestLaunchValidation:
         out = execute(shader, 3, 2, {})
         assert out.shape == (3, 2, 4)
         np.testing.assert_array_equal(out[1, 1], [1, 2, 3, 4])
+
+
+class TestStackedDot:
+    def test_lane_sum_matches_reduction_bytes(self):
+        """The stacked DP4 (a zero-seeded lane sum) against the plans'
+        float32 reduction, over every 4-lane combination of signed
+        zeros, denormals, overflow, infinities and NaN."""
+        import itertools
+
+        from repro.gpu.interpreter import _dot, _dot_stacked
+
+        values = np.array([0.0, -0.0, 1.0, -1.5, 1e-40, -1e-40, 3e38,
+                           -3e38, np.inf, -np.inf, np.nan],
+                          dtype=np.float32)
+        lanes = np.array(list(itertools.product(values, repeat=4)),
+                         dtype=np.float32).reshape(-1, 11, 1, 4)
+        ones = np.ones(4, dtype=np.float32)
+        with np.errstate(all="ignore"):
+            want = _dot(lanes, ones)
+            got = np.broadcast_to(_dot_stacked(lanes, ones), want.shape)
+        assert got.tobytes() == want.tobytes()

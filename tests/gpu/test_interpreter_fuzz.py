@@ -9,6 +9,13 @@ compiled plan with strided fetches).  Any semantic divergence
 (including in clamp-to-edge addressing and lane plumbing) fails the
 property; the fast path must match ``execute`` byte for byte, over the
 full opcode set and dependent fetches too.
+
+A third property drives the device's command queue: random launch
+sequences over a small texture pool (ping-pong reuse, targets re-bound
+as samplers, shaders differing only in fetch offsets so they stack,
+clears, frees and host reads and writes) must leave every texture byte
+identical to a replay that runs each launch at once through
+``execute``, with equal launch records.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ShaderError
 from repro.gpu import FragmentShader, VirtualGPU
 from repro.gpu import shaderir as ir
 from repro.gpu.interpreter import execute
@@ -199,3 +207,108 @@ def test_device_fast_path_bytes_match_oracle(tree, seed):
     with np.errstate(all="ignore"):
         want = execute(shader, H, W, textures, uniforms).tobytes()
         assert _launch(shader, textures, uniforms).tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# The command queue against immediate execution
+# ---------------------------------------------------------------------------
+
+_POOL = 6
+_offsets = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _queue_shader(kind, a, b, tree):
+    """Shader families over samplers t0/t1 and uniform u0.  Kinds 0 and
+    1 differ between launches only in fetch offsets, so they stack;
+    kind 2 (Select) never stacks; kind 3 is the example's random tree."""
+    t0a, t0b = ir.TexFetch("t0", *a), ir.TexFetch("t0", *b)
+    t1a, t1b = ir.TexFetch("t1", *a), ir.TexFetch("t1", *b)
+    if kind == 0:
+        body = ir.add(ir.mul(t0a, ir.Uniform("u0")),
+                      ir.add(t1b, ir.mul(ir.FragCoord(), ir.vec4(0.25))))
+    elif kind == 1:
+        cross = ir.dot4(t0a, t1b)
+        body = ir.add(ir.TexFetch("t0"), ir.Swizzle(
+            ir.add(cross, ir.dot4(cross, ir.dot4(t0b, t1a))), "wzyx"))
+        body = ir.add(body, ir.mul(ir.Uniform("u0"), ir.vec4(0.0)))
+    elif kind == 2:
+        body = ir.select(ir.cmp_gt(t0a, t1b), t1a, ir.Uniform("u0"))
+    else:
+        body = _wrap_used(tree)
+    return FragmentShader(f"q{kind}_{a}_{b}", body, samplers=_SAMPLERS,
+                          uniforms=_UNIFORMS)
+
+
+_slot = st.integers(0, _POOL - 1)
+_launch_op = st.tuples(st.just("launch"), st.integers(0, 3), _offsets,
+                       _offsets, _slot, _slot, _slot, finite)
+_host_op = st.one_of(
+    st.tuples(st.just("clear"), _slot),
+    st.tuples(st.just("free"), _slot),
+    st.tuples(st.just("read"), _slot),
+    st.tuples(st.just("write"), _slot, st.integers(0, 2 ** 31 - 1)),
+)
+# Three launches in four ops, so independent launches of one family
+# meet in a flush.
+_queue_ops = st.lists(
+    st.tuples(st.integers(0, 3), _launch_op, _host_op).map(
+        lambda t: t[2] if t[0] == 0 else t[1]),
+    min_size=8, max_size=40)
+
+
+class _Replay:
+    """One device and its texture pool, driven op by op.  With
+    ``immediate``, every launch's target is overwritten at once by the
+    recursive oracle ``execute`` run on the host copies of its inputs."""
+
+    def __init__(self, immediate, seed):
+        self.immediate = immediate
+        self.device = VirtualGPU()
+        rng = np.random.default_rng(seed)
+        self.pool = [self.device.upload(
+            rng.uniform(-2.0, 2.0, size=(H, W, 4)).astype(_F32))
+            for _ in range(_POOL)]
+        self.created = list(self.pool)
+
+    def apply(self, op, tree):
+        device, pool = self.device, self.pool
+        if op[0] == "launch":
+            _, kind, a, b, target, s0, s1, u = op
+            shader = _queue_shader(kind, a, b, tree)
+            bindings = {"t0": pool[s0], "t1": pool[s1]}
+            uniforms = {"u0": np.full(4, u, dtype=_F32)}
+            if target in (s0, s1):
+                with pytest.raises(ShaderError, match="ping-pong"):
+                    device.launch(shader, pool[target], bindings, uniforms)
+                return
+            device.launch(shader, pool[target], bindings, uniforms)
+            if self.immediate:
+                pool[target].data[...] = execute(
+                    shader, H, W, {s: t.data for s, t in bindings.items()},
+                    uniforms)
+        elif op[0] == "clear":
+            device.clear(pool[op[1]])
+        elif op[0] == "free":
+            device.free(pool[op[1]])
+            pool[op[1]] = device.create_target(H, W)
+            self.created.append(pool[op[1]])
+        elif op[0] == "read":
+            return pool[op[1]].data.tobytes()
+        else:
+            values = np.random.default_rng(op[2]).uniform(
+                -2.0, 2.0, size=(H, W, 4)).astype(_F32)
+            pool[op[1]].data[...] = values
+        return None
+
+
+@given(_queue_ops, all_op_trees, st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_queued_device_matches_immediate_replay(ops, tree, seed):
+    queued, replay = _Replay(False, seed), _Replay(True, seed)
+    with np.errstate(all="ignore"):
+        for op in ops:
+            assert queued.apply(op, tree) == replay.apply(op, tree), op
+        got = [t.data.tobytes() for t in queued.created]
+        want = [t.data.tobytes() for t in replay.created]
+    assert got == want
+    assert queued.device.counters.launches == replay.device.counters.launches

@@ -5,7 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.amc_gpu import gpu_morphological_stage
+from repro.core.amc_gpu import (
+    VRAM_FRACTION,
+    _line_bytes,
+    gpu_morphological_stage,
+)
 from repro.gpu import FragmentShader, GEFORCE_7800GTX, VirtualGPU
 from repro.gpu import shaderir as ir
 from repro.gpu.counters import GpuCounters, KernelLaunchRecord, TransferRecord
@@ -58,6 +62,24 @@ class TestTimeline:
 
     def test_empty_counters(self):
         assert build_timeline(GpuCounters()) == []
+
+    def test_chunks_replay_in_submission_order(self, rng):
+        """Four chunks: each chunk's uploads come before its kernels,
+        its downloads before the next chunk's uploads."""
+        budget = 9 * _line_bytes(8, 8, 1)  # nine extended lines
+        device = VirtualGPU(GEFORCE_7800GTX.with_(
+            vram_bytes=int(budget / VRAM_FRACTION) + 1))
+        out = gpu_morphological_stage(
+            rng.uniform(0.1, 1.0, size=(24, 8, 8)), radius=1, device=device)
+        assert out.chunk_count == 4
+        kinds = []
+        for event in build_timeline(device.counters):
+            kind = event["name"].split()[0] if event["cat"] == "transfer" \
+                else "kernel"
+            if not kinds or kinds[-1] != kind:
+                kinds.append(kind)
+        # the offset lookup texture is uploaded once, before chunk 1
+        assert kinds == ["upload", "kernel", "download"] * 4
 
 
 class TestExport:

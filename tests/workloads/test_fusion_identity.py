@@ -69,11 +69,14 @@ def _all_pairs_oracle(patch):
 
 def _recursive_oracle(patch):
     """Route every device launch through the recursive evaluator, with
-    fancy-indexing gather fetches, instead of the compiled plan."""
+    fancy-indexing gather fetches, instead of the compiled plan (one
+    launch at a time: with a zero queue budget every launch flushes
+    the one before it, so nothing stacks)."""
     import repro.gpu.device as device_mod
     from repro.gpu import interpreter
 
     patch.setattr(device_mod, "execute_lazy", interpreter.execute)
+    patch.setattr(device_mod, "QUEUE_TEXELS", 0)
     patch.setattr(interpreter, "_fetch_static",
                   lambda texture, dx, dy: clamped_shift(texture, dy, dx))
 
