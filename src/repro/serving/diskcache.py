@@ -3,10 +3,10 @@ server restart, sha-verified before they are ever served.
 
 A :class:`DiskCacheTier` is the second tier behind the in-memory
 :class:`~repro.serving.cache.ResultCache`: completed results are
-written through to disk (one pickle file per content-addressed job
-key, atomically via :mod:`repro.serving.durable`), and a memory miss
-falls back here before anything executes.  Two disciplines make the
-tier safe to trust after a crash:
+written through to disk (one file per content-addressed job key,
+atomically via :mod:`repro.serving.durable`), and a memory miss falls
+back here before anything executes.  Two disciplines make the tier
+safe to trust after a crash:
 
 * **Verification before service.**  Every entry carries the result
   digest from its workload contract
@@ -19,35 +19,50 @@ tier safe to trust after a crash:
   post-mortem) and dropped from the index; they are never served and
   never retried.
 
-Eviction is oldest-first by insertion sequence under a byte budget;
-the sequence lives in ``index.json`` (atomically rewritten per
-mutation) so ordering survives restarts without reading file mtimes.
-Disk failures never fail a job: a write error skips the spill
-(counted), a read error is a miss.  The ``cache_disk`` fault site at
-the top of both paths makes that claim chaos-testable.
+Each entry file describes itself: a JSON header line ``{"v": 2,
+"seq", "nbytes", "workload", "digest"}`` then the pickle of
+``{"result", "report"}``.  The atomic rename of that one file is the
+only commit, so a put costs the same at any tier size.  Start-up
+rebuilds the index from one scan of the header lines and quarantines
+files whose header does not parse (orphans, older-format entries).
+Eviction is oldest-first by insertion sequence under a byte budget.
+Disk failures never fail a job: a write or delete error is counted, a
+read error is a miss.  The ``cache_disk`` fault site at the top of
+both paths makes that claim chaos-testable.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import ServingError, TransientFaultError, ValidationError
 from repro.faults import maybe_inject
 from repro.serving import durable
+from repro.serving.api import result_digest
 from repro.serving.cache import CacheEntry
 from repro.workloads import get_workload
-
-#: File name of the persisted eviction-order index.
-INDEX_FILE = "index.json"
 
 #: Subdirectory corrupt entries are moved into.
 QUARANTINE_DIR = "quarantine"
 
 #: Entry file suffix.
 ENTRY_SUFFIX = ".res"
+
+
+def _read_header(fh) -> dict:
+    """The JSON header line of an open entry file; raises ValueError
+    unless it is a complete version-2 header."""
+    header = json.loads(fh.readline(4096))
+    if not (isinstance(header, dict) and header.get("v") == 2
+            and all(name in header for name in
+                    ("seq", "nbytes", "workload", "digest"))):
+        raise ValidationError("not a version-2 cache entry header")
+    return header
 
 
 @dataclass
@@ -61,7 +76,7 @@ class DiskCacheStats:
     oversize_skips: int = 0
     #: Entries that failed verification on load and were quarantined.
     quarantined: int = 0
-    #: Spills skipped because the disk write failed (jobs unaffected).
+    #: Spills and eviction deletes that failed (jobs unaffected).
     write_errors: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -80,8 +95,7 @@ class DiskCacheTier:
     Parameters
     ----------
     directory:
-        Where entries, the index and the quarantine live (created on
-        demand).
+        Where entries and the quarantine live (created on demand).
     max_bytes:
         Retained-payload budget (the workload-accounted result bytes,
         same accounting as the memory tier).
@@ -95,10 +109,11 @@ class DiskCacheTier:
             os.path.join(directory, QUARANTINE_DIR))
         self.max_bytes = int(max_bytes)
         self.stats = DiskCacheStats()
-        self._index_path = os.path.join(directory, INDEX_FILE)
-        self._index: dict[str, dict] = {}
+        #: ``key -> nbytes`` in insertion-sequence order (oldest first).
+        self._index: OrderedDict[str, int] = OrderedDict()
+        self._bytes = 0
         self._next_seq = 1
-        self._load_index()
+        self._scan()
 
     def __len__(self) -> int:
         return len(self._index)
@@ -109,7 +124,7 @@ class DiskCacheTier:
     @property
     def current_bytes(self) -> int:
         """Accounted payload bytes across all indexed entries."""
-        return sum(entry["nbytes"] for entry in self._index.values())
+        return self._bytes
 
     # -- the tier API -----------------------------------------------------
 
@@ -123,27 +138,27 @@ class DiskCacheTier:
         memory); the skip is counted in ``stats.write_errors``.
         """
         wl = get_workload(workload)
-        if nbytes is None:
-            nbytes = wl.result_nbytes(result)
+        nbytes = int(wl.result_nbytes(result) if nbytes is None else nbytes)
         if nbytes > self.max_bytes:
             self.stats.oversize_skips += 1
             return False
-        payload = {"v": 1, "workload": wl.name, "digest": digest,
-                   "nbytes": int(nbytes), "result": result,
-                   "report": report}
+        header = {"v": 2, "seq": self._next_seq, "nbytes": nbytes,
+                  "workload": wl.name, "digest": digest}
         try:
             maybe_inject("cache_disk", index=None)
             durable.atomic_write_bytes(
                 self._entry_path(key),
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+                json.dumps(header).encode("utf-8") + b"\n"
+                + pickle.dumps({"result": result, "report": report},
+                               protocol=pickle.HIGHEST_PROTOCOL))
         except (OSError, TransientFaultError):
             self.stats.write_errors += 1
             return False
-        self._index[key] = {"nbytes": int(nbytes), "seq": self._next_seq,
-                            "workload": wl.name, "digest": digest}
+        self._forget(key)
+        self._index[key] = nbytes
+        self._bytes += nbytes
         self._next_seq += 1
         self._evict_to_budget()
-        self._write_index()
         self.stats.insertions += 1
         return True
 
@@ -154,46 +169,41 @@ class DiskCacheTier:
         the entry's own workload contract — a corrupt or truncated
         file is quarantined and can never be served.
         """
-        meta = self._index.get(key)
-        if meta is None:
+        if key not in self._index:
             self.stats.misses += 1
             return None
         path = self._entry_path(key)
         try:
             maybe_inject("cache_disk", index=None)
             with open(path, "rb") as fh:
+                header = _read_header(fh)
                 payload = pickle.load(fh)
-            workload = payload["workload"]
-            digest = payload["digest"]
-            from repro.serving.api import result_digest
-
+            digest = header["digest"]
             recomputed = result_digest(payload["result"],
-                                       workload=workload)
+                                       workload=header["workload"])
             if digest is not None and recomputed != digest:
                 raise ValidationError(
                     f"digest mismatch: recorded {digest[:12]}..., "
                     f"recomputed {recomputed[:12]}...")
-        except FileNotFoundError:
-            self._forget(key)
-            self.stats.misses += 1
-            return None
         except TransientFaultError:
             self.stats.misses += 1
             return None
         except (OSError, pickle.UnpicklingError, EOFError, ValueError,
                 KeyError, AttributeError, TypeError) as exc:
-            self._quarantine(key, path, exc)
+            self._forget(key)
+            if not isinstance(exc, FileNotFoundError):
+                self._quarantine(path)
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        return CacheEntry(payload["result"], payload["nbytes"],
+        return CacheEntry(payload["result"], header["nbytes"],
                           payload.get("report"), recomputed)
 
     def as_dict(self) -> dict[str, object]:
         """Counters plus occupancy, for ``health()`` reports."""
         out: dict[str, object] = dict(self.stats.as_dict())
         out["entries"] = len(self._index)
-        out["bytes"] = self.current_bytes
+        out["bytes"] = self._bytes
         out["max_bytes"] = self.max_bytes
         return out
 
@@ -202,59 +212,47 @@ class DiskCacheTier:
     def _entry_path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}{ENTRY_SUFFIX}")
 
-    def _quarantine(self, key: str, path: str, exc: Exception) -> None:
-        """Move a bad entry out of service, keeping the evidence."""
+    def _quarantine(self, path: str) -> None:
+        """Move a bad entry file out of service, keeping the evidence."""
         try:
             durable.rename(path, os.path.join(
                 self.quarantine_dir, os.path.basename(path)))
         except OSError:
             pass
-        self._forget(key)
         self.stats.quarantined += 1
 
     def _forget(self, key: str) -> None:
-        if self._index.pop(key, None) is not None:
-            self._write_index()
+        self._bytes -= self._index.pop(key, 0)
 
     def _evict_to_budget(self) -> None:
-        while len(self._index) > 1 and self.current_bytes > self.max_bytes:
-            oldest = min(self._index, key=lambda k: self._index[k]["seq"])
-            self._index.pop(oldest)
-            durable.remove(self._entry_path(oldest))
+        while len(self._index) > 1 and self._bytes > self.max_bytes:
+            oldest, nbytes = self._index.popitem(last=False)
+            self._bytes -= nbytes
             self.stats.evictions += 1
+            try:
+                durable.remove(self._entry_path(oldest))
+            except OSError:
+                # the file outlives its index entry; the next start-up
+                # scan brings it back as the oldest entry
+                self.stats.write_errors += 1
 
-    def _write_index(self) -> None:
-        try:
-            durable.atomic_write_json(
-                self._index_path,
-                {"v": 1, "next_seq": self._next_seq,
-                 "entries": self._index})
-        except OSError:
-            self.stats.write_errors += 1
-
-    def _load_index(self) -> None:
-        """Rebuild the index from disk; entries without files are
-        dropped, files without entries are quarantined (their ordering
-        is unknown, so they cannot be trusted into the budget)."""
-        try:
-            with open(self._index_path, "rb") as fh:
-                import json
-
-                data = json.loads(fh.read())
-            self._next_seq = int(data.get("next_seq", 1))
-            entries = data.get("entries", {})
-        except (OSError, ValueError):
-            self._next_seq = 1
-            entries = {}
-        self._index = {
-            key: meta for key, meta in entries.items()
-            if os.path.exists(self._entry_path(key))}
-        for name in sorted(os.listdir(self.directory)):
+    def _scan(self) -> None:
+        """Rebuild the index from the entry headers, in seq order, and
+        remove the ``index.json`` the earlier format kept."""
+        found = []
+        for name in os.listdir(self.directory):
             if not name.endswith(ENTRY_SUFFIX):
                 continue
-            key = name[:-len(ENTRY_SUFFIX)]
-            if key not in self._index:
-                durable.rename(
-                    os.path.join(self.directory, name),
-                    os.path.join(self.quarantine_dir, name))
-                self.stats.quarantined += 1
+            path = os.path.join(self.directory, name)
+            try:
+                with open(path, "rb") as fh:
+                    header = _read_header(fh)
+                found.append((int(header["seq"]), name[:-len(ENTRY_SUFFIX)],
+                              int(header["nbytes"])))
+            except (OSError, ValueError, TypeError):
+                self._quarantine(path)
+        for seq, key, nbytes in sorted(found):
+            self._index[key] = nbytes
+            self._bytes += nbytes
+            self._next_seq = seq + 1
+        durable.remove(os.path.join(self.directory, "index.json"))

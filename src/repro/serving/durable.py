@@ -22,7 +22,6 @@ enforces the protocol statically: no other module under
 
 from __future__ import annotations
 
-import json
 import os
 
 
@@ -67,12 +66,6 @@ def atomic_write_bytes(path: str, data: bytes) -> str:
         raise
     fsync_dir(directory)
     return path
-
-
-def atomic_write_json(path: str, obj) -> str:
-    """:func:`atomic_write_bytes` of ``obj`` as sorted, indented JSON."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def open_append(path: str):

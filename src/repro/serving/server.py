@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import asyncio
 import os.path
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from threading import local
@@ -199,6 +200,11 @@ class AMCServer:
         self.journal_errors = 0
         self._jobs: dict[int, Job] = {}
         self._inflight: dict[str, Job] = {}
+        #: ``(key, digest) -> result`` for results some job record (or
+        #: cache entry) still holds, so a disk hit reuses that object
+        #: instead of pinning a second copy.  Keyed by job key, not
+        #: digest alone: the digest covers only the decision arrays.
+        self._live_results = weakref.WeakValueDictionary()
         self._next_id = 1
         self._running = False
         self._worker_tasks: list[asyncio.Task] = []
@@ -332,6 +338,11 @@ class AMCServer:
         if self.disk_cache is not None:
             entry = self.disk_cache.get(key)
             if entry is not None:
+                live = self._live_results.get((key, entry.digest))
+                if live is None:
+                    self._live_results[key, entry.digest] = entry.result
+                else:
+                    entry = replace(entry, result=live)
                 # promote into the memory tier so the next hit is hot
                 self.cache.put(key, entry.result, entry.report,
                                entry.digest, nbytes=entry.nbytes)
@@ -459,8 +470,7 @@ class AMCServer:
         self._inflight.pop(job.key, None)
         job.release_payload()
         self._journal_safe(jobstates.CANCELLED, job)
-        if self.journal is not None:
-            self.journal.drop_payload(job.key)
+        self._drop_payload_safe(job)
         self.counters.cancelled += 1
 
     # -- durability ------------------------------------------------------
@@ -491,6 +501,17 @@ class AMCServer:
                 ground_truth=job.ground_truth,
                 class_names=job.class_names)
         except (TransientFaultError, OSError):
+            self.journal_errors += 1
+
+    def _drop_payload_safe(self, job: Job) -> None:
+        """Delete a terminal job's spilled payload with the same
+        containment (a failed delete leaves a stale file, nothing
+        worse)."""
+        if self.journal is None:
+            return
+        try:
+            self.journal.drop_payload(job.key)
+        except OSError:
             self.journal_errors += 1
 
     async def _recover(self) -> None:
@@ -564,8 +585,7 @@ class AMCServer:
             job.transition(jobstates.FAILED)
             self._journal_safe(jobstates.FAILED, job,
                                error=f"StuckJobError: {job.error}")
-            if self.journal is not None:
-                self.journal.drop_payload(job.key)
+            self._drop_payload_safe(job)
             self._inflight.pop(job.key, None)
             job.release_payload()
             self.counters.failed += 1
@@ -624,6 +644,7 @@ class AMCServer:
             job.result_sha256 = result_digest(result, workload=job.workload)
             job.transition(jobstates.DONE)
             self.counters.completed += 1
+            self._live_results[job.key, job.result_sha256] = result
             nbytes = job.workload.result_nbytes(result)
             self.cache.put(job.key, result, report, job.result_sha256,
                            nbytes=nbytes)
@@ -640,8 +661,7 @@ class AMCServer:
             self._journal_safe(
                 jobstates.FAILED, job,
                 error=f"{type(error).__name__}: {error}")
-        if self.journal is not None:
-            self.journal.drop_payload(job.key)
+        self._drop_payload_safe(job)
         self._inflight.pop(job.key, None)
         job.release_payload()
 

@@ -7,8 +7,8 @@ def durable_journal_append(fh, line):
     durable.append_line(fh, line)
 
 
-def durable_index_write(path, payload):
-    durable.atomic_write_json(path, payload)
+def durable_entry_write(path, payload):
+    durable.atomic_write_bytes(path, payload)
 
 
 def durable_cleanup(path):

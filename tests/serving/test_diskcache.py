@@ -9,14 +9,20 @@ workload contract, and any mismatch/unpicklable/orphaned file lands in
 
 from __future__ import annotations
 
+import errno
+import json
 import os
+import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faults
 from repro.core import AMCConfig, run_amc
 from repro.faults import FaultInjector, FaultSpec
-from repro.serving import DiskCacheTier, result_digest
+from repro.serving import DiskCacheTier, durable, result_digest
 
 
 @pytest.fixture(autouse=True)
@@ -144,3 +150,133 @@ class TestFaultContainment:
         assert tier.stats.quarantined == 0
         faults.uninstall()
         assert tier.get("k1") is not None    # the entry itself is fine
+
+
+class TestDeleteFaults:
+    def test_eviction_delete_error_is_counted_not_raised(
+            self, tmp_path, amc_result, monkeypatch):
+        tier = DiskCacheTier(str(tmp_path / "cache"), max_bytes=250)
+        digest = result_digest(amc_result)
+        tier.put("k1", amc_result, digest=digest, nbytes=100)
+        tier.put("k2", amc_result, digest=digest, nbytes=100)
+
+        def eio(path):
+            raise OSError(errno.EIO, "injected EIO", path)
+
+        monkeypatch.setattr(durable, "remove", eio)
+        assert tier.put("k3", amc_result, digest=digest, nbytes=100)
+        assert tier.stats.write_errors == 1
+        assert tier.stats.insertions == 3
+        assert "k1" not in tier and "k2" in tier and "k3" in tier
+        assert tier.current_bytes == 200
+
+
+def _header(path):
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline())
+
+
+def _disk_bytes(tier):
+    return sum(_header(os.path.join(tier.directory, name))["nbytes"]
+               for name in os.listdir(tier.directory)
+               if name.endswith(".res"))
+
+
+class TestRestart:
+    # one of the two orders differs from the directory listing order
+    @pytest.mark.parametrize("first,second", [("k1", "k2"), ("k2", "k1")])
+    def test_eviction_order_and_budget_survive_a_reopen(
+            self, tmp_path, amc_result, first, second):
+        directory = str(tmp_path / "cache")
+        digest = result_digest(amc_result)
+        tier = DiskCacheTier(directory, max_bytes=250)
+        tier.put(first, amc_result, digest=digest, nbytes=100)
+        tier.put(second, amc_result, digest=digest, nbytes=100)
+        reopened = DiskCacheTier(directory, max_bytes=250)
+        assert reopened.current_bytes == 200
+        reopened.put("k3", amc_result, digest=digest, nbytes=100)
+        assert first not in reopened
+        assert second in reopened and "k3" in reopened
+        assert reopened.stats.evictions == 1
+        assert not os.path.exists(os.path.join(directory, f"{first}.res"))
+        # k3 was numbered past the scanned entries, so it outlives them
+        # across another reopen
+        reopened = DiskCacheTier(directory, max_bytes=250)
+        reopened.put("k4", amc_result, digest=digest, nbytes=100)
+        assert second not in reopened
+        assert "k3" in reopened and "k4" in reopened
+
+    def test_older_format_entry_and_index_are_quarantined(self, tmp_path,
+                                                          amc_result):
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        digest = result_digest(amc_result)
+        # the earlier format: one pickle per entry plus a JSON index
+        with open(directory / "k1.res", "wb") as fh:
+            pickle.dump({"v": 1, "workload": "amc", "digest": digest,
+                         "nbytes": 100, "result": amc_result,
+                         "report": None}, fh)
+        with open(directory / "index.json", "w") as fh:
+            json.dump({"v": 1, "next_seq": 2, "entries": {
+                "k1": {"nbytes": 100, "seq": 1, "workload": "amc",
+                       "digest": digest}}}, fh)
+        tier = DiskCacheTier(str(directory))
+        assert "k1" not in tier
+        assert tier.stats.quarantined == 1
+        assert not (directory / "index.json").exists()
+        assert (directory / "quarantine" / "k1.res").exists()
+        assert tier.get("k1") is None
+        # still a working tier
+        assert tier.put("k1", amc_result, digest=digest)
+        assert tier.get("k1").digest == digest
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(("put", "put", "get", "truncate", "misdigest",
+                         "reopen")),
+        st.sampled_from(("a", "b", "c")),
+        st.integers(min_value=40, max_value=160)), max_size=16))
+    def test_budget_order_and_verification_hold(self, amc_result, ops):
+        digest = result_digest(amc_result)
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = os.path.join(scratch, "cache")
+            tier = DiskCacheTier(directory, max_bytes=300)
+            model: dict[str, int] = {}     # key -> nbytes, oldest first
+            damaged: set[str] = set()
+            for op, key, nbytes in ops:
+                path = os.path.join(directory, f"{key}.res")
+                if op == "put":
+                    assert tier.put(key, amc_result, digest=digest,
+                                    nbytes=nbytes)
+                    model.pop(key, None)
+                    damaged.discard(key)
+                    model[key] = nbytes
+                    while len(model) > 1 and sum(model.values()) > 300:
+                        model.pop(next(iter(model)))
+                elif op == "get":
+                    entry = tier.get(key)
+                    if key in damaged or key not in model:
+                        assert entry is None
+                        model.pop(key, None)
+                        damaged.discard(key)
+                    else:
+                        assert entry.digest == digest
+                        assert result_digest(entry.result) == digest
+                elif op == "reopen":
+                    tier = DiskCacheTier(directory, max_bytes=300)
+                elif key in model:
+                    with open(path, "rb") as fh:
+                        data = fh.read()
+                    head, body = data.split(b"\n", 1)
+                    if op == "truncate":
+                        data = head + b"\n" + body[: len(body) // 2]
+                    else:
+                        header = json.loads(head)
+                        header["digest"] = "0" * 64
+                        data = json.dumps(header).encode() + b"\n" + body
+                    with open(path, "wb") as fh:
+                        fh.write(data)
+                    damaged.add(key)
+                assert {k for k in "abc" if k in tier} == set(model)
+                assert tier.current_bytes == _disk_bytes(tier)
+                assert tier.current_bytes == sum(model.values())

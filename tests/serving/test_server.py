@@ -12,14 +12,17 @@ functions (no async test plugin needed).
 from __future__ import annotations
 
 import asyncio
+import errno
+import os
 
+import numpy as np
 import pytest
 
 from repro import faults
 from repro.core import AMCConfig, run_amc
 from repro.errors import JobNotFoundError, ServerBusyError, ServerClosedError
 from repro.faults import FaultInjector, FaultSpec
-from repro.serving import AMCServer, result_digest
+from repro.serving import AMCServer, durable, result_digest
 from repro.serving import jobs as jobstates
 
 
@@ -244,3 +247,133 @@ class TestBackpressureAndCancel:
         assert stalled.state == jobstates.DONE       # running jobs finish
         assert queued.state == jobstates.CANCELLED
         assert server.pipeline_runs == 1
+
+
+class TestDiskHitDedup:
+    """A disk hit reuses the result object a live job record already
+    holds for the same key, instead of pinning a second copy."""
+
+    def test_disk_hits_on_one_key_share_one_result(self, small_cube,
+                                                   tmp_path):
+        other = {"n_classes": 2}
+
+        async def scenario():
+            async with AMCServer(workers=1, cache_entries=1,
+                                 state_dir=str(tmp_path / "state")) as server:
+                ran = await server.submit(small_cube, PARAMS)
+                await server.wait(ran.job_id)
+                # each submission of the other key evicts PARAMS from
+                # the one-entry memory tier
+                await server.wait((await server.submit(small_cube,
+                                                       other)).job_id)
+                a = await server.submit(small_cube, PARAMS)
+                await server.submit(small_cube, other)
+                b = await server.submit(small_cube, PARAMS)
+                return server, ran, a, b
+
+        server, ran, a, b = asyncio.run(scenario())
+        assert server.counters.disk_cache_hits == 3
+        # every disk hit still loaded and verified its entry
+        assert server.disk_cache.stats.hits == 3
+        assert server.job(a.job_id).result is server.job(b.job_id).result
+        assert a.result is ran.result
+        assert server.pipeline_runs == 2
+
+    def test_restarted_server_first_disk_hit_loads_and_verifies(
+            self, small_cube, tmp_path):
+        state = str(tmp_path / "state")
+
+        async def first_life():
+            async with AMCServer(workers=1, state_dir=state) as server:
+                job = await server.submit(small_cube, PARAMS)
+                await server.wait(job.job_id)
+                return job.key, job.result_sha256
+
+        key, digest = asyncio.run(first_life())
+
+        async def second_life():
+            async with AMCServer(workers=1, cache_entries=1,
+                                 state_dir=state) as server:
+                hit = await server.submit(small_cube, PARAMS)
+                assert server.disk_cache.stats.hits == 1
+                # evict it from memory, then damage the entry: the live
+                # copy must not stand in for a failed verification
+                await server.wait((await server.submit(
+                    small_cube, {"n_classes": 2})).job_id)
+                path = os.path.join(server.disk_cache.directory,
+                                    f"{key}.res")
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                with open(path, "wb") as fh:
+                    fh.write(data[: len(data) - 64])
+                rerun = await server.submit(small_cube, PARAMS)
+                await server.wait(rerun.job_id)
+                return server, hit, rerun
+
+        server, hit, rerun = asyncio.run(second_life())
+        assert hit.from_cache and hit.result_sha256 == digest
+        assert result_digest(hit.result) == digest
+        assert server.disk_cache.stats.quarantined == 1
+        assert not rerun.from_cache
+        assert rerun.result_sha256 == digest
+        assert server.pipeline_runs == 2
+
+    def test_equal_digests_on_different_keys_never_share(self, small_cube,
+                                                         tmp_path):
+        """Class names are part of the key but not of the digest (which
+        covers only the decision arrays): two keys, one digest, two
+        results that differ outside the digested arrays."""
+        gt = np.arange(90).reshape(10, 9) % 3 + 1
+        abc = {"ground_truth": gt, "class_names": ("a", "b", "c")}
+        xyz = {"ground_truth": gt, "class_names": ("x", "y", "z")}
+
+        async def scenario():
+            async with AMCServer(workers=1, cache_entries=1,
+                                 state_dir=str(tmp_path / "state")) as server:
+                ran_abc = await server.submit(small_cube, PARAMS, **abc)
+                await server.wait(ran_abc.job_id)
+                ran_xyz = await server.submit(small_cube, PARAMS, **xyz)
+                await server.wait(ran_xyz.job_id)
+                hit_abc = await server.submit(small_cube, PARAMS, **abc)
+                hit_xyz = await server.submit(small_cube, PARAMS, **xyz)
+                return server, ran_abc, ran_xyz, hit_abc, hit_xyz
+
+        server, ran_abc, ran_xyz, hit_abc, hit_xyz = asyncio.run(scenario())
+        assert server.counters.disk_cache_hits == 2
+        assert ran_abc.key != ran_xyz.key
+        assert ran_abc.result_sha256 == ran_xyz.result_sha256
+        assert hit_abc.result is ran_abc.result
+        assert hit_xyz.result is ran_xyz.result
+        assert hit_abc.result.report.class_names == ("a", "b", "c")
+        assert hit_xyz.result.report.class_names == ("x", "y", "z")
+
+
+class TestDurabilityFaults:
+    def test_payload_delete_error_is_counted_not_fatal(self, small_cube,
+                                                       tmp_path,
+                                                       monkeypatch):
+        """One EIO deleting a finished job's spilled payload must not
+        kill the server worker that hit it."""
+        remove, failed = durable.remove, []
+
+        def eio_once(path):
+            if path.endswith(".req") and not failed:
+                failed.append(path)
+                raise OSError(errno.EIO, "injected EIO", path)
+            return remove(path)
+
+        monkeypatch.setattr(durable, "remove", eio_once)
+
+        async def scenario():
+            server = AMCServer(workers=1, state_dir=str(tmp_path / "state"))
+            await server.start()
+            jobs = [await server.submit(small_cube, {"n_classes": n})
+                    for n in (2, 3, 4)]
+            statuses = [await server.wait(job.job_id) for job in jobs]
+            await server.stop()
+            return server, statuses
+
+        server, statuses = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert failed
+        assert [s.state for s in statuses] == [jobstates.DONE] * 3
+        assert server.journal_errors == 1
