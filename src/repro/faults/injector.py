@@ -88,7 +88,7 @@ CRASH_EXIT_CODE = 13
 #: documenting the site — or letting a registered site go dead — fails
 #: ``python -m tools.reprolint``.
 FAULT_SITES = {
-    "chunk": "per-chunk worker entry (repro.parallel pool/amc/map)",
+    "chunk": "per-chunk worker entry (repro.parallel amc/map)",
     "cube": "per-cube batch worker entry (repro.pipeline.batch)",
     "job": "serving executor, once per job execution attempt",
     "heartbeat_stall": "serving executor, just before the attempt's "

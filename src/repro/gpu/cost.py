@@ -137,30 +137,6 @@ class CostModel:
         cost = self.kernel_cost(shader)
         return cost, self._timing(cost, width, height)
 
-    def fused_launch_time(self, shaders, width: int,
-                          height: int) -> tuple[KernelCost, LaunchTiming]:
-        """Modeled wall time of one *fused* launch.
-
-        The constituent parts' compute cycles and fetch counts sum —
-        every instruction of the original chain still executes — but
-        the pass pays a single render-target write and a single launch
-        overhead instead of one per member: exactly the savings pass
-        fusion buys on hardware (intermediates stay in registers or
-        launch-local storage, never in board memory).
-        """
-        cycles = 0.0
-        static_fetches = 0
-        dynamic_fetches = 0
-        for shader in shaders:
-            part = self.kernel_cost(shader)
-            cycles += part.cycles_per_fragment
-            static_fetches += part.static_fetches
-            dynamic_fetches += part.dynamic_fetches
-        cost = KernelCost(cycles_per_fragment=cycles,
-                          static_fetches=static_fetches,
-                          dynamic_fetches=dynamic_fetches)
-        return cost, self._timing(cost, width, height)
-
     # ----------------------------------------------------------- transfers
     def transfer_time(self, nbytes: int) -> float:
         """Modeled host<->device transfer time for ``nbytes``."""

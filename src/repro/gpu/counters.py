@@ -49,13 +49,6 @@ class GpuCounters:
     #: Launch and transfer records together, in submission order.
     records: list[KernelLaunchRecord | TransferRecord] = field(
         default_factory=list)
-    #: Render-to-texture passes that executed inside a composite (fused)
-    #: kernel instead of as their own launch (stream-graph fusion).
-    passes_fused: int = 0
-    #: Full-extent intermediate arrays never materialized: the
-    #: interpreter's per-launch scratch on the fused device path plus
-    #: one per intermediate texture elided by stream-graph fusion.
-    temporaries_elided: int = 0
 
     # ------------------------------------------------------------ recording
     def record_launch(self, record: KernelLaunchRecord) -> None:
@@ -66,19 +59,11 @@ class GpuCounters:
         self.transfers.append(record)
         self.records.append(record)
 
-    def record_fusion(self, *, passes_fused: int = 0,
-                      temporaries_elided: int = 0) -> None:
-        """Account work the fused paths avoided doing."""
-        self.passes_fused += passes_fused
-        self.temporaries_elided += temporaries_elided
-
     def reset(self) -> None:
         """Clear all recorded activity."""
         self.launches.clear()
         self.transfers.clear()
         self.records.clear()
-        self.passes_fused = 0
-        self.temporaries_elided = 0
 
     # ----------------------------------------------------------- aggregates
     @property
@@ -152,6 +137,7 @@ class GpuCounters:
             "upload_time_s": self.upload_time_s,
             "download_time_s": self.download_time_s,
             "total_time_s": self.total_time_s,
-            "passes_fused": float(self.passes_fused),
-            "temporaries_elided": float(self.temporaries_elided),
+            # Always zero; kept only because perfbench/layers.py reads both.
+            "passes_fused": 0.0,
+            "temporaries_elided": 0.0,
         }

@@ -41,7 +41,6 @@ from repro.gpu.cost import CostModel
 from repro.gpu.counters import GpuCounters, KernelLaunchRecord, TransferRecord
 from repro.gpu.interpreter import (
     coerce_bindings,
-    execute_fused_lazy,
     execute_lazy,
     execute_stacked,
     stack_signature,
@@ -193,7 +192,6 @@ class VirtualGPU:
             shader, {name: tex._data for name, tex in textures.items()},
             uniforms)
         height, width = target.height, target.width
-        self.counters.record_fusion(temporaries_elided=1)
         cost, timing = self.cost_model.launch_time(shader, width, height)
         self.counters.record_launch(KernelLaunchRecord(
             kernel=shader.name,
@@ -224,6 +222,9 @@ class VirtualGPU:
             self._write(target, None, level), level,
             (key, height, width) if stackable and key else None))
         return target
+
+    # Only perfbench/layers.py needs this alias: it wraps it by name.
+    launch_fused = launch
 
     def clear(self, texture: Texture2D) -> Texture2D:
         """Queue a zero-fill of ``texture`` (``glClear``).
@@ -340,7 +341,7 @@ class VirtualGPU:
 
     def _check_bindings(self, kernel_name: str, target: Texture2D,
                         textures: dict[str, Texture2D]) -> None:
-        """Residency and hazard checks shared by all launch forms."""
+        """Residency and hazard checks of one launch."""
         for name, tex in textures.items():
             if not isinstance(tex, Texture2D):
                 raise ShaderError(
@@ -357,46 +358,6 @@ class VirtualGPU:
                 f"launch of {kernel_name!r} binds its own render target as "
                 f"an input — read-write hazards are undefined on real "
                 f"hardware; use ping-pong targets")
-
-    def launch_fused(self, kernel, target: Texture2D,
-                     textures: dict[str, Texture2D],
-                     uniforms: dict[str, np.ndarray] | None = None
-                     ) -> Texture2D:
-        """Run a :class:`~repro.stream.kernel.FusedKernel` as ONE pass.
-
-        The composite's parts run as one compiled plan under a single
-        shared context — intermediate streams of the original chain
-        never become textures, never touch VRAM and never pay a
-        render-target write.  One launch record is appended, whose
-        cycle and fetch counts sum the members' (the work still
-        happens) while timing charges a single target write and launch
-        overhead.  It flushes the queue, then runs at once.
-        """
-        self._check_bindings(kernel.name, target, textures)
-        self.flush()
-        arrays = {name: tex.data for name, tex in textures.items()}
-        target.data[...] = execute_fused_lazy(
-            kernel.part_shaders, kernel.part_names, target.height,
-            target.width, arrays, uniforms)
-        # fused_count - 1 intermediate textures never materialized, plus
-        # the interpreter scratch.
-        self.counters.record_fusion(
-            passes_fused=kernel.fused_count - 1,
-            temporaries_elided=kernel.fused_count)
-
-        cost, timing = self.cost_model.fused_launch_time(
-            kernel.part_shaders, target.width, target.height)
-        self.counters.record_launch(KernelLaunchRecord(
-            kernel=kernel.name,
-            width=target.width,
-            height=target.height,
-            cycles_per_fragment=cost.cycles_per_fragment,
-            static_fetches=cost.static_fetches,
-            dynamic_fetches=cost.dynamic_fetches,
-            modeled_time_s=timing.total_s,
-            compute_time_s=timing.compute_s,
-            memory_time_s=timing.memory_s))
-        return target
 
     # ------------------------------------------------------------ download
     def download(self, texture: Texture2D) -> np.ndarray:

@@ -23,8 +23,8 @@ share one register and evaluate once, mirroring the register allocation
 a shader compiler performs.  The plan is cached on the shader
 (:meth:`FragmentShader.compiled
 <repro.gpu.shader.FragmentShader.compiled>`), so a launch through
-:func:`execute_lazy` or :func:`execute_fused_lazy` is a loop over slots:
-no IR walk, no per-node type dispatch, no structural hashing.
+:func:`execute_lazy` is a loop over slots: no IR walk, no per-node
+type dispatch, no structural hashing.
 
 :func:`execute_stacked` runs B launches whose plans are equal up to
 fetch offsets (the per-SE-offset-pair kernels of the AMC pipeline) as
@@ -38,8 +38,9 @@ the shader like the plan.
 :func:`execute` keeps the historical recursive evaluator with a
 per-launch structural memo (:func:`_eval`) as the device's oracle: the
 tests compare the compiled plans against it, and the host-side stream
-executor runs unfused steps through it.  Both issue the same NumPy
-operations in the same order, so their texels are byte-identical.
+executor (:class:`~repro.stream.executor.CpuExecutor`) runs every step
+through it.  Both issue the same NumPy operations in the same order,
+so their texels are byte-identical.
 """
 
 from __future__ import annotations
@@ -270,15 +271,6 @@ def _step_select(ctx, regs, slots, _):
     return _select(regs[cond], regs[t], regs[f])
 
 
-def _step_bind(ctx, regs, slot, name):
-    # A fused launch's intermediate part: materialized to full extent and
-    # registered as an in-launch texture under its stream name.
-    part = np.empty((ctx.height, ctx.width, 4), dtype=_F32)
-    part[...] = regs[slot]
-    ctx.textures[name] = part
-    return part
-
-
 class Plan:
     """A compiled fragment program: straight-line steps over registers.
 
@@ -293,8 +285,7 @@ class Plan:
     out:
         The slot holding the program's result.
     samplers, uniforms:
-        The bindings a launch must supply (for a fused plan: the parts'
-        external samplers and all their uniforms).
+        The bindings a launch must supply.
     """
 
     __slots__ = ("consts", "steps", "out", "samplers", "uniforms")
@@ -307,18 +298,15 @@ class Plan:
         self.uniforms = uniforms
 
 
-def compile_plan(part_shaders, part_names=()) -> Plan:
-    """Compile one shader — or a fused kernel's parts — into a :class:`Plan`.
+def compile_plan(shader: FragmentShader) -> Plan:
+    """Compile one shader into a :class:`Plan`.
 
-    One structural common-subexpression pass over the bodies, visiting
+    One structural common-subexpression pass over the body, visiting
     nodes in exactly the order the recursive evaluator first reaches
     them, so the plan issues the oracle's NumPy operations in the
-    oracle's order.  With several parts, every non-final part is
-    followed by a step materializing it as an in-launch texture named by
-    ``part_names``; the subexpression table is shared across parts
-    (a fetch appearing in several members evaluates once per launch).
+    oracle's order.
     """
-    order: list = []  # IR nodes, plus (body, name) part bindings
+    order: list[ir.Expr] = []
     seen: set[ir.Expr] = set()  # structural: equal subtrees compile once
 
     def visit(node: ir.Expr) -> None:
@@ -329,10 +317,7 @@ def compile_plan(part_shaders, part_names=()) -> Plan:
         seen.add(node)
         order.append(node)
 
-    for index, shader in enumerate(part_shaders):
-        visit(shader.body)
-        if index < len(part_shaders) - 1:
-            order.append((shader.body, part_names[index]))
+    visit(shader.body)
 
     consts = [node for node in order if isinstance(node, ir.Const)]
     slot: dict[ir.Expr, int] = {node: i for i, node in enumerate(consts)}
@@ -340,10 +325,7 @@ def compile_plan(part_shaders, part_names=()) -> Plan:
     for node in order:
         if isinstance(node, ir.Const):
             continue
-        if isinstance(node, tuple):
-            body, name = node
-            step = (_CALL, _step_bind, slot[body], name)
-        elif isinstance(node, ir.Op):
+        if isinstance(node, ir.Op):
             args = [slot[a] for a in node.args]
             if node.op in ir.UNARY_OPS:
                 step = (_UNARY, _UNARY_IMPL[node.op], args[0], None)
@@ -374,8 +356,7 @@ def compile_plan(part_shaders, part_names=()) -> Plan:
             raise ShaderError(
                 f"unknown IR node type {type(node).__name__}")
         steps.append(step)
-        if not isinstance(node, tuple):
-            slot[node] = len(consts) + len(steps) - 1
+        slot[node] = len(consts) + len(steps) - 1
 
     const_regs = []
     for node in consts:
@@ -383,18 +364,8 @@ def compile_plan(part_shaders, part_names=()) -> Plan:
         value.setflags(write=False)
         const_regs.append(value)
 
-    part_set = set(part_names)
-    samplers = tuple(dict.fromkeys(
-        s for shader in part_shaders for s in shader.samplers
-        if s not in part_set))
-    uniforms = tuple(dict.fromkeys(
-        u for shader in part_shaders for u in shader.uniforms))
-    return Plan(tuple(const_regs), tuple(steps),
-                slot[part_shaders[-1].body], samplers, uniforms)
-
-
-def _compile_shader(shader: FragmentShader) -> Plan:
-    return compile_plan((shader,))
+    return Plan(tuple(const_regs), tuple(steps), slot[shader.body],
+                tuple(shader.samplers), tuple(shader.uniforms))
 
 
 def _run(plan: Plan, ctx: ShaderContext) -> np.ndarray:
@@ -451,7 +422,7 @@ class StackSignature:
 
 
 def _build_signature(shader: FragmentShader) -> StackSignature:
-    plan = shader.compiled("plan", _compile_shader)
+    plan = shader.compiled("plan", compile_plan)
     shape: list[tuple] = []
     offsets: list[tuple[int, int]] = []
     last_use: dict[int, int] = {}
@@ -556,7 +527,7 @@ def execute_stacked(shader: FragmentShader, offsets,
     (B, H, W, 4)) holds launch *j*'s texels byte for byte.  Registers
     are released at their last use.
     """
-    plan = shader.compiled("plan", _compile_shader)
+    plan = shader.compiled("plan", compile_plan)
     signature = stack_signature(shader)
     regs = list(plan.consts)
     append = regs.append
@@ -655,7 +626,7 @@ def execute_lazy(shader: FragmentShader, height: int, width: int,
     fresh version of the target texture directly, eliding the
     interpreter's scratch temporary.
     """
-    plan = shader.compiled("plan", _compile_shader)
+    plan = shader.compiled("plan", compile_plan)
     tex_arrays = _coerce_textures(shader.name, plan.samplers, textures)
     uni_arrays = _coerce_uniforms(shader.name, plan.uniforms, uniforms)
     return _run(plan, ShaderContext(height, width, tex_arrays, uni_arrays))
@@ -675,7 +646,7 @@ def coerce_bindings(shader: FragmentShader,
         If a binding is missing, a texture is not (H, W, 4) or a uniform
         has neither 1 nor 4 components.
     """
-    plan = shader.compiled("plan", _compile_shader)
+    plan = shader.compiled("plan", compile_plan)
     return (_coerce_textures(shader.name, plan.samplers, textures),
             _coerce_uniforms(shader.name, plan.uniforms, uniforms))
 
@@ -716,65 +687,3 @@ def _coerce_uniforms(kernel: str, declared, uniforms) -> dict[str, np.ndarray]:
                     f"got {v.size}")
             uni_arrays[name] = v
     return uni_arrays
-
-
-def _fused_plan(part_shaders, part_names) -> Plan:
-    """The compiled plan of a fused kernel, cached on its final part.
-
-    Part shaders are built fresh for each fused kernel, so the final
-    part identifies the composite; the cached entry still checks the
-    earlier parts by identity and recompiles (uncached) on a mismatch.
-    """
-    part_shaders = tuple(part_shaders)
-    part_names = tuple(part_names)
-
-    def build(_final):
-        return part_shaders, compile_plan(part_shaders, part_names)
-
-    cached_parts, plan = part_shaders[-1].compiled(
-        ("fused", part_names), build)
-    if len(cached_parts) != len(part_shaders) or any(
-            a is not b for a, b in zip(cached_parts, part_shaders)):
-        plan = compile_plan(part_shaders, part_names)
-    return plan
-
-
-def execute_fused_lazy(part_shaders, part_names, height: int, width: int,
-                       textures: dict[str, np.ndarray],
-                       uniforms: dict[str, np.ndarray] | None = None
-                       ) -> np.ndarray:
-    """Evaluate a fused kernel's parts under one shared context.
-
-    ``part_shaders`` / ``part_names`` come from a
-    :class:`~repro.stream.kernel.FusedKernel`: each part is evaluated
-    in order, non-final parts materialized to full extent and
-    registered as in-launch textures under their stream name (so later
-    parts fetch them at fixed offsets with clamp-to-edge semantics
-    identical to a real intermediate texture), and the final part's raw
-    result returned as in :func:`execute_lazy`.
-
-    The parts compile into *one* plan whose subexpression table spans
-    all of them — a fetch or uniform-only subexpression appearing in
-    several members evaluates once per fused launch instead of once per
-    original pass (the hoisting the fusion compiler promises).
-    """
-    label = part_names[-1] if part_names else "fused"
-    plan = _fused_plan(part_shaders, part_names)
-    tex_arrays = _coerce_textures(label, plan.samplers, textures)
-    uni_arrays = _coerce_uniforms(label, plan.uniforms, uniforms)
-    return _run(plan, ShaderContext(height, width, tex_arrays, uni_arrays))
-
-
-def execute_fused(part_shaders, part_names, height: int, width: int,
-                  textures: dict[str, np.ndarray],
-                  uniforms: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Like :func:`execute_fused_lazy`, materialized to (H, W, 4).
-
-    The host-side (CPU executor) entry point; the device broadcasts the
-    lazy result straight into its render target instead.
-    """
-    result = execute_fused_lazy(part_shaders, part_names, height, width,
-                                textures, uniforms)
-    out = np.empty((height, width, 4), dtype=_F32)
-    out[...] = result
-    return out

@@ -284,83 +284,6 @@ def walk(expr: Expr):
                 stack.append((child, False))
 
 
-def substitute(expr: Expr, fetch_map=None, uniform_map=None) -> Expr:
-    """Rewrite a tree: redirect fetches and rename uniforms.
-
-    ``fetch_map`` maps a sampler name to either ``("rename", name)`` —
-    the fetch keeps its offsets but reads another sampler — or
-    ``("inline", body)`` — a *zero-offset* fetch is replaced by the
-    given expression (the pass-fusion substitution: the producing
-    kernel's body takes the place of reading its materialized output).
-    Inlining a fetch that carries an offset is rejected: a shifted read
-    of a computed image is not the image computed at shifted inputs
-    once clamp-to-edge fires, so the compiler must materialize instead.
-    ``uniform_map`` renames uniforms.  Untouched subtrees are returned
-    as-is, preserving sharing (and therefore memoized evaluation).
-    """
-    fetch_map = fetch_map or {}
-    uniform_map = uniform_map or {}
-    cache: dict[int, Expr] = {}
-
-    def rewrite(node: Expr) -> Expr:
-        hit = cache.get(id(node))
-        if hit is not None:
-            return hit
-        out = node
-        if isinstance(node, TexFetch) and node.sampler in fetch_map:
-            action, value = fetch_map[node.sampler]
-            if action == "rename":
-                out = TexFetch(value, node.dx, node.dy)
-            elif action == "inline":
-                if node.dx or node.dy:
-                    raise ShaderValidationError(
-                        f"cannot inline offset fetch of "
-                        f"{node.sampler!r} (dx={node.dx}, dy={node.dy})")
-                out = value
-            else:  # pragma: no cover - defensive
-                raise ShaderValidationError(
-                    f"unknown fetch action {action!r}")
-        elif isinstance(node, TexFetchDyn):
-            coord = rewrite(node.coord)
-            action, value = fetch_map.get(node.sampler, ("rename",
-                                                         node.sampler))
-            if action != "rename":
-                raise ShaderValidationError(
-                    f"cannot inline dependent fetch of {node.sampler!r}")
-            if coord is not node.coord or value != node.sampler:
-                out = TexFetchDyn(value, coord)
-        elif isinstance(node, Uniform) and node.name in uniform_map:
-            out = Uniform(uniform_map[node.name])
-        elif isinstance(node, Op):
-            args = tuple(rewrite(a) for a in node.args)
-            if any(n is not o for n, o in zip(args, node.args)):
-                out = Op(node.op, args)
-        elif isinstance(node, Dot):
-            a, b = rewrite(node.a), rewrite(node.b)
-            if a is not node.a or b is not node.b:
-                out = Dot(a, b)
-        elif isinstance(node, Swizzle):
-            src = rewrite(node.source)
-            if src is not node.source:
-                out = Swizzle(src, node.pattern)
-        elif isinstance(node, Combine):
-            parts = tuple(rewrite(p) for p in
-                          (node.x, node.y, node.z, node.w))
-            if any(n is not o for n, o in
-                   zip(parts, (node.x, node.y, node.z, node.w))):
-                out = Combine(*parts)
-        elif isinstance(node, Select):
-            c, t, f = (rewrite(node.cond), rewrite(node.if_true),
-                       rewrite(node.if_false))
-            if c is not node.cond or t is not node.if_true \
-                    or f is not node.if_false:
-                out = Select(c, t, f)
-        cache[id(node)] = out
-        return out
-
-    return rewrite(expr)
-
-
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Immediate sub-expressions of a node."""
     if isinstance(expr, Op):

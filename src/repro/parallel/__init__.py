@@ -5,9 +5,6 @@ independent halo-carrying pieces — the paper's streaming decomposition.
 This package dispatches those pieces across a :mod:`multiprocessing`
 worker pool, producing results bit-identical to serial execution:
 
-* :func:`run_chunked_parallel` — the parallel counterpart of
-  :func:`repro.stream.chunked.run_chunked` for any
-  :class:`~repro.stream.graph.StageGraph`;
 * :func:`parallel_morphological_stage` — chunk-parallel AMC
   morphological stage over any of the three backends (one virtual GPU
   per worker for ``backend="gpu"``), wired into
@@ -29,17 +26,12 @@ from repro.parallel.amc import (
     parallel_morphological_stage,
 )
 from repro.parallel.map import parallel_pixel_map
-from repro.parallel.pool import (
-    resolve_workers,
-    run_chunked_parallel,
-    run_tasks,
-)
+from repro.parallel.pool import resolve_workers, run_tasks
 
 __all__ = [
     "combine_gpu_accounting",
     "parallel_morphological_stage",
     "parallel_pixel_map",
     "resolve_workers",
-    "run_chunked_parallel",
     "run_tasks",
 ]

@@ -47,7 +47,8 @@ from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
 from repro.profiling.profiler import ChunkRecord, Profiler
 from repro.resilience import RetryPolicy
 
-# Worker-side state (see repro.parallel.pool for the pattern).
+# Worker-side state, installed once per pool process by _init_worker.
+# Plain module global: multiprocessing initializers cannot return state.
 _STATE: dict = {}
 
 

@@ -39,7 +39,7 @@ from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
 from repro.profiling.profiler import ChunkRecord, Profiler
 from repro.resilience import RetryPolicy
 
-# Worker-side state (see repro.parallel.pool for the pattern).
+# Worker-side state (see repro.parallel.amc for the pattern).
 _STATE: dict = {}
 
 

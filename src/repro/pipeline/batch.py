@@ -64,7 +64,7 @@ class BatchItemError:
                 f"{type(self.error).__name__}: {self.error}")
 
 
-# Worker-side state (see repro.parallel.pool for the pattern).
+# Worker-side state (see repro.parallel.amc for the pattern).
 _STATE: dict = {}
 
 

@@ -89,15 +89,6 @@ class MorphologyStage(Stage):
                 # Shift-reuse accounting of the morphological stage —
                 # attached to this stage's record when the span closes.
                 profiler.record_stage_counters(self.name, res.stats)
-        profiler = ctx.get("profiler")
-        if profiler is not None and gpu_output is not None:
-            # Pass-fusion accounting of the device path (summed across
-            # workers by stitched_accounting on parallel runs).
-            summary = gpu_output.counters
-            profiler.record_stage_counters(self.name, {
-                key: summary[key]
-                for key in ("passes_fused", "temporaries_elided")
-                if key in summary})
         ctx.update(mei=mei, erosion_index=ero, dilation_index=dil,
                    gpu_output=gpu_output, device=device)
 

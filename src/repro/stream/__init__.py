@@ -19,8 +19,9 @@ first-class, backend-independent API:
   :class:`~repro.gpu.device.VirtualGPU`
   (:class:`~repro.stream.executor.GpuExecutor`), where streams become
   textures and kernel applications become render-to-texture passes;
-* :func:`~repro.stream.optimize.fuse_elementwise` — the pass-fusion
-  compiler, folding single-consumer kernel chains into one render pass.
+* :func:`~repro.stream.chunked.run_chunked` — line-wise chunked
+  execution of a graph on either executor, with the halo
+  :func:`~repro.stream.chunked.graph_halo` derives from its shaders.
 
 The paper's Fig. 4 AMC pipeline has one encoding,
 :mod:`repro.core.amc_gpu`, which specializes this model by hand (its
@@ -31,24 +32,19 @@ the library builds *other* hyperspectral pipelines with — see
 ``examples/stream_pipeline.py``.
 """
 
-from repro.stream.chunked import graph_halo, plan_stream_chunks, run_chunked
+from repro.stream.chunked import graph_halo, run_chunked
 from repro.stream.executor import CpuExecutor, GpuExecutor
-from repro.stream.graph import FusedStep, StageGraph, Step
-from repro.stream.kernel import FusedKernel, StreamKernel
-from repro.stream.optimize import fuse_elementwise
+from repro.stream.graph import StageGraph, Step
+from repro.stream.kernel import StreamKernel
 from repro.stream.stream import Stream
 
 __all__ = [
     "CpuExecutor",
-    "FusedKernel",
-    "FusedStep",
     "GpuExecutor",
     "StageGraph",
     "Step",
     "Stream",
     "StreamKernel",
-    "fuse_elementwise",
     "graph_halo",
-    "plan_stream_chunks",
     "run_chunked",
 ]

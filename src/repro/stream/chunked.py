@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StreamError
-from repro.hsi.chunking import ChunkPlan, plan_chunks_by_lines
-from repro.stream.graph import FusedStep, StageGraph
+from repro.hsi.chunking import plan_chunks_by_lines
+from repro.stream.graph import StageGraph
 from repro.stream.stream import Stream
 
 
@@ -30,11 +30,7 @@ def graph_halo(graph: StageGraph) -> int:
     """Upper bound on the input halo the graph's output pixels need.
 
     Sum over steps of each kernel's maximum static fetch offset — exact
-    for a linear chain, conservative (never too small) for DAGs.  A
-    :class:`~repro.stream.graph.FusedStep` contributes its composite
-    reach (offsets compose through materialized parts, inlined bodies
-    carry theirs directly), which equals the unfused chain's — fusing a
-    graph never changes its halo.
+    for a linear chain, conservative (never too small) for DAGs.
 
     Raises
     ------
@@ -43,14 +39,6 @@ def graph_halo(graph: StageGraph) -> int:
     """
     halo = 0
     for step in graph.steps:
-        if isinstance(step, FusedStep):
-            if step.kernel.dynamic_fetches:
-                raise StreamError(
-                    f"fused kernel {step.kernel.name!r} uses dependent "
-                    f"texture fetches; its reach is data-dependent and "
-                    f"cannot be chunked safely")
-            halo += step.kernel.max_static_reach()
-            continue
         stats = step.kernel.shader.stats
         if stats.dynamic_fetches:
             raise StreamError(
@@ -59,29 +47,6 @@ def graph_halo(graph: StageGraph) -> int:
                 f"chunked safely")
         halo += stats.max_static_offset
     return halo
-
-
-def plan_stream_chunks(graph: StageGraph, inputs: dict[str, Stream], *,
-                       max_ext_lines: int,
-                       halo: int | None = None) -> ChunkPlan:
-    """Validate the inputs and plan the line-wise chunks for a graph.
-
-    The shared front half of :func:`run_chunked` and
-    :func:`repro.parallel.run_chunked_parallel`: checks the input
-    streams agree on shape, derives (or accepts) the halo — rejecting
-    dependent-fetch graphs via :func:`graph_halo` — and returns the
-    validated :class:`~repro.hsi.chunking.ChunkPlan` whose cores tile
-    the image exactly.
-    """
-    if not inputs:
-        raise StreamError("chunked execution needs at least one input")
-    shapes = {s.shape for s in inputs.values()}
-    if len(shapes) != 1:
-        raise StreamError(f"input streams disagree on shape: {shapes}")
-    (lines, samples), = shapes
-    needed = graph_halo(graph) if halo is None else int(halo)
-    return plan_chunks_by_lines(lines, samples, 1,
-                                max_ext_lines=max_ext_lines, halo=needed)
 
 
 def run_chunked(graph: StageGraph, inputs: dict[str, Stream], executor, *,
@@ -111,9 +76,15 @@ def run_chunked(graph: StageGraph, inputs: dict[str, Stream], executor, *,
     -------
     dict of output streams, identical to unchunked execution.
     """
-    plan = plan_stream_chunks(graph, inputs, max_ext_lines=max_ext_lines,
-                              halo=halo)
-    lines, samples = plan.lines, plan.samples
+    if not inputs:
+        raise StreamError("chunked execution needs at least one input")
+    shapes = {s.shape for s in inputs.values()}
+    if len(shapes) != 1:
+        raise StreamError(f"input streams disagree on shape: {shapes}")
+    (lines, samples), = shapes
+    needed = graph_halo(graph) if halo is None else int(halo)
+    plan = plan_chunks_by_lines(lines, samples, 1,
+                                max_ext_lines=max_ext_lines, halo=needed)
     outputs: dict[str, np.ndarray] = {}
     for chunk in plan:
         chunk_inputs = {

@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.errors import StreamError
 from repro.gpu.device import VirtualGPU
-from repro.gpu.interpreter import execute, execute_fused
+from repro.gpu.interpreter import execute
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
 from repro.gpu.texture import Texture2D
-from repro.stream.graph import FusedStep, StageGraph
+from repro.stream.graph import StageGraph
 from repro.stream.stream import Stream
 
 
@@ -56,13 +56,8 @@ class CpuExecutor:
         for step in graph.steps:
             textures = {sampler: env[source]
                         for sampler, source in step.inputs.items()}
-            if isinstance(step, FusedStep):
-                env[step.output] = execute_fused(
-                    step.kernel.part_shaders, step.kernel.part_names,
-                    height, width, textures, step.uniforms)
-            else:
-                env[step.output] = execute(step.kernel.shader, height,
-                                           width, textures, step.uniforms)
+            env[step.output] = execute(step.kernel.shader, height, width,
+                                       textures, step.uniforms)
         return {name: Stream(name, env[name]) for name in graph.outputs}
 
 
@@ -97,12 +92,8 @@ class GpuExecutor:
                 try:
                     bindings = {sampler: resident[source]
                                 for sampler, source in step.inputs.items()}
-                    if isinstance(step, FusedStep):
-                        gpu.launch_fused(step.kernel, target, bindings,
-                                         step.uniforms or None)
-                    else:
-                        gpu.launch(step.kernel.shader, target, bindings,
-                                   step.uniforms or None)
+                    gpu.launch(step.kernel.shader, target, bindings,
+                               step.uniforms or None)
                     launched = True
                 finally:
                     if not launched:

@@ -24,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import StreamError
-from repro.stream.kernel import FusedKernel, StreamKernel
+from repro.stream.kernel import StreamKernel
 
 
 @dataclass(frozen=True)
@@ -55,47 +55,6 @@ class Step:
 
 
 @dataclass(frozen=True)
-class FusedStep:
-    """One *fused* kernel application — several chained steps, one pass.
-
-    Emitted by :func:`repro.stream.optimize.fuse_elementwise`; presents
-    the same ``kernel`` / ``inputs`` / ``output`` / ``uniforms`` surface
-    as :class:`Step` (``inputs`` is the identity map over the fused
-    kernel's external streams — the alpha-renaming already happened at
-    fusion time), so :class:`StageGraph` validation and the executors'
-    liveness analysis work unchanged.
-    """
-
-    kernel: FusedKernel
-    inputs: dict[str, str]          # external stream name -> itself
-    output: str
-    uniforms: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if set(self.inputs) != set(self.kernel.external_inputs):
-            raise StreamError(
-                f"fused step {self.output!r}: inputs "
-                f"{sorted(self.inputs)} do not cover external streams "
-                f"{sorted(self.kernel.external_inputs)}")
-        for sampler, source in self.inputs.items():
-            if sampler != source:
-                raise StreamError(
-                    f"fused step {self.output!r}: binding {sampler!r} -> "
-                    f"{source!r} is not the identity (fused samplers are "
-                    f"stream names)")
-        if self.output != self.kernel.output:
-            raise StreamError(
-                f"fused step {self.output!r}: kernel computes "
-                f"{self.kernel.output!r}")
-        needed = {u for s in self.kernel.part_shaders for u in s.uniforms}
-        missing = needed - set(self.uniforms)
-        if missing:
-            raise StreamError(
-                f"fused step {self.output!r}: uniforms {sorted(missing)} "
-                f"not bound")
-
-
-@dataclass(frozen=True)
 class StageGraph:
     """A validated chain of kernel applications.
 
@@ -113,7 +72,7 @@ class StageGraph:
 
     name: str
     inputs: tuple[str, ...]
-    steps: tuple[Step | FusedStep, ...]
+    steps: tuple[Step, ...]
     outputs: tuple[str, ...]
 
     def __post_init__(self) -> None:

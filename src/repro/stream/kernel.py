@@ -57,94 +57,6 @@ class StreamKernel:
         return cls(shader=shader, inputs=inputs)
 
 
-@dataclass(frozen=True)
-class FusedKernel:
-    """A composite kernel: several chained kernels in one launch.
-
-    Built by :func:`repro.stream.optimize.fuse_elementwise`, never by
-    hand.  The member bodies are alpha-renamed so every sampler *is* a
-    stream name; intermediates consumed only at zero offset are inlined
-    into their consumer's body, intermediates fetched at fixed offsets
-    survive as *parts* — evaluated inside the launch, never allocated
-    as textures.
-
-    Attributes
-    ----------
-    name:
-        Composite name (``a+b+c``), shown in launch records.
-    part_shaders:
-        One validated :class:`~repro.gpu.shader.FragmentShader` per
-        materialized part, in evaluation order; the last one computes
-        the fused step's output.
-    part_names:
-        The stream name each part computes (parallel to
-        ``part_shaders``); earlier names may appear as samplers of
-        later parts.
-    external_inputs:
-        Stream names the composite reads from outside, in first-use
-        order.
-    fused_count:
-        How many original steps were folded in (>= 1; the launch
-        records ``fused_count - 1`` saved passes).
-    """
-
-    name: str
-    part_shaders: tuple[FragmentShader, ...]
-    part_names: tuple[str, ...]
-    external_inputs: tuple[str, ...]
-    fused_count: int
-
-    def __post_init__(self) -> None:
-        if not self.part_shaders:
-            raise StreamError(f"fused kernel {self.name!r} has no parts")
-        if len(self.part_shaders) != len(self.part_names):
-            raise StreamError(
-                f"fused kernel {self.name!r}: {len(self.part_shaders)} "
-                f"shaders but {len(self.part_names)} part names")
-        if self.fused_count < len(self.part_shaders):
-            raise StreamError(
-                f"fused kernel {self.name!r}: fused_count "
-                f"{self.fused_count} below part count "
-                f"{len(self.part_shaders)}")
-        known = set(self.external_inputs)
-        for shader, part in zip(self.part_shaders, self.part_names):
-            undefined = set(shader.samplers) - known
-            if undefined:
-                raise StreamError(
-                    f"fused kernel {self.name!r}: part {part!r} reads "
-                    f"{sorted(undefined)} before they exist")
-            known.add(part)
-
-    @property
-    def output(self) -> str:
-        """The stream the final part computes."""
-        return self.part_names[-1]
-
-    @property
-    def dynamic_fetches(self) -> int:
-        """Total dependent fetches across parts (0 for fusable chains)."""
-        return sum(s.stats.dynamic_fetches for s in self.part_shaders)
-
-    def max_static_reach(self) -> int:
-        """Chebyshev radius of input pixels one output pixel can read.
-
-        Offsets compose through materialized parts (a fetch of part *p*
-        at offset *d* reaches ``d + reach(p)``) but not through inlined
-        bodies, whose offsets already sit in the consumer's shader —
-        exactly the dependency radius of the unfused chain, so
-        :func:`repro.stream.chunked.graph_halo` stays correct.
-        """
-        reach: dict[str, int] = {}
-        for shader, part in zip(self.part_shaders, self.part_names):
-            r = 0
-            for node in ir.walk(shader.body):
-                if isinstance(node, ir.TexFetch):
-                    r = max(r, max(abs(node.dx), abs(node.dy))
-                            + reach.get(node.sampler, 0))
-            reach[part] = r
-        return reach[self.part_names[-1]]
-
-
 # ---------------------------------------------------------------------------
 # A small standard library of kernels, enough to build the example
 # pipelines without touching the IR directly.

@@ -173,36 +173,6 @@ class TestCompileOnce:
         assert compiles == {"plan": 1, "cost": 1}
         assert records[0] == records[1]
 
-    def test_two_devices_compile_fused_kernel_once(self, compiles, rng):
-        from repro.stream import (
-            StageGraph,
-            Step,
-            StreamKernel,
-            fuse_elementwise,
-        )
-
-        shift = StreamKernel.from_expression(
-            "shift", ir.TexFetch("a", 0, 1), inputs=("a",))
-        mix = StreamKernel.from_expression(
-            "mix", ir.add(ir.TexFetch("a", 1, 0), ir.TexFetch("b")),
-            inputs=("a", "b"))
-        fused = fuse_elementwise(StageGraph(
-            "g", inputs=("x",),
-            steps=(Step(shift, {"a": "x"}, "t"),
-                   Step(mix, {"a": "t", "b": "x"}, "out")),
-            outputs=("out",)))
-        kernel = fused.steps[0].kernel
-        assert len(kernel.part_shaders) == 2
-        data = rng.uniform(size=(5, 4, 4)).astype(np.float32)
-        for _ in range(2):
-            device = VirtualGPU(GEFORCE_7800GTX)
-            tex = device.upload(data)
-            for _ in range(3):
-                device.launch_fused(kernel, device.create_target(5, 4),
-                                    {"x": tex})
-        # one joint plan; one static cost per part
-        assert compiles == {"plan": 1, "cost": 2}
-
 
 class TestCommandQueue:
     """Launches queue; a flush runs them, stacking equal plan shapes."""

@@ -1,4 +1,10 @@
-"""Tests for the worker-pool chunked executor (repro.parallel.pool)."""
+"""Tests for the worker pool (repro.parallel.pool) under its drivers.
+
+The pool's fallback, retry and profiling behaviours are exercised
+through :func:`~repro.parallel.parallel_morphological_stage`, the
+driver production runs; every result must equal the serial
+whole-image stage bit for bit.
+"""
 
 import os
 
@@ -6,36 +12,22 @@ import numpy as np
 import pytest
 
 from repro import faults
-from repro.errors import StreamError
+from repro.core.amc_gpu import gpu_morphological_stage
+from repro.core.mei import mei_reference
+from repro.errors import GpuOutOfMemoryError, StreamError, \
+    TransientFaultError
 from repro.faults import FaultInjector, FaultSpec
-from repro.gpu import shaderir as ir
-from repro.parallel import resolve_workers, run_chunked_parallel
+from repro.parallel import parallel_morphological_stage, resolve_workers
 from repro.parallel import pool as pool_mod
 from repro.profiling import Profiler
 from repro.resilience import RetryPolicy
-from repro.stream import (
-    CpuExecutor,
-    GpuExecutor,
-    StageGraph,
-    Step,
-    Stream,
-    run_chunked,
-)
-from repro.stream.kernel import StreamKernel, stencil_sum
 
 
-def _blur3():
-    offsets = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
-    return stencil_sum("blur3", offsets)
-
-
-@pytest.fixture()
-def two_stage_stencil():
-    """Two chained 3x3 stencils: total dependency radius 2."""
-    return StageGraph("double-blur", inputs=("x",),
-                      steps=(Step(_blur3(), {"a": "x"}, "once"),
-                             Step(_blur3(), {"a": "once"}, "twice")),
-                      outputs=("twice",))
+def _assert_matches(maps, whole):
+    mei, erosion, dilation, _ = maps
+    np.testing.assert_array_equal(mei, whole.mei)
+    np.testing.assert_array_equal(erosion, whole.erosion_index)
+    np.testing.assert_array_equal(dilation, whole.dilation_index)
 
 
 class TestResolveWorkers:
@@ -50,110 +42,26 @@ class TestResolveWorkers:
             resolve_workers(-1)
 
 
-class TestBitIdentical:
-    """Parallel results must equal serial results exactly."""
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    @pytest.mark.parametrize("max_ext_lines", [9, 14])
-    def test_cpu_executor(self, two_stage_stencil, rng, n_workers,
-                          max_ext_lines):
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = run_chunked(two_stage_stencil, {"x": x}, CpuExecutor(),
-                             max_ext_lines=max_ext_lines)
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=max_ext_lines, n_workers=n_workers)
-        np.testing.assert_array_equal(parallel["twice"].data,
-                                      serial["twice"].data)
-
-    def test_gpu_executor(self, two_stage_stencil, rng):
-        x = Stream.from_scalar("x", rng.uniform(size=(24, 6)))
-        whole = GpuExecutor().run(two_stage_stencil, {"x": x})
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, GpuExecutor(),
-            max_ext_lines=10, n_workers=2)
-        np.testing.assert_array_equal(parallel["twice"].data,
-                                      whole["twice"].data)
-
-    def test_multiple_outputs_stitched(self, rng):
-        blur = _blur3()
-        graph = StageGraph("multi", inputs=("x",),
-                           steps=(Step(blur, {"a": "x"}, "a1"),
-                                  Step(blur, {"a": "a1"}, "a2")),
-                           outputs=("a1", "a2"))
-        x = Stream.from_scalar("x", rng.uniform(size=(20, 5)))
-        whole = CpuExecutor().run(graph, {"x": x})
-        parallel = run_chunked_parallel(graph, {"x": x}, CpuExecutor(),
-                                        max_ext_lines=8, n_workers=2)
-        for name in ("a1", "a2"):
-            np.testing.assert_array_equal(parallel[name].data,
-                                          whole[name].data)
-
-    def test_serial_n_workers_one(self, two_stage_stencil, rng):
-        """n_workers=1 takes the in-process path, same results."""
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = run_chunked(two_stage_stencil, {"x": x}, CpuExecutor(),
-                             max_ext_lines=9)
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=1)
-        np.testing.assert_array_equal(parallel["twice"].data,
-                                      serial["twice"].data)
-
-
-class TestRejection:
-    def test_dependent_fetch_rejected(self):
-        """Dependent-fetch graphs cannot be chunked — parallel included."""
-        k = StreamKernel.from_expression(
-            "dyn", ir.TexFetchDyn("a", ir.FragCoord()), inputs=("a",))
-        graph = StageGraph("d", inputs=("x",),
-                           steps=(Step(k, {"a": "x"}, "o"),),
-                           outputs=("o",))
-        x = Stream.zeros("x", 16, 4)
-        with pytest.raises(StreamError, match="dependent"):
-            run_chunked_parallel(graph, {"x": x}, CpuExecutor(),
-                                 max_ext_lines=8, n_workers=2)
-
-    def test_empty_inputs_rejected(self, two_stage_stencil):
-        with pytest.raises(StreamError, match="at least one input"):
-            run_chunked_parallel(two_stage_stencil, {}, CpuExecutor(),
-                                 max_ext_lines=8, n_workers=2)
-
-    def test_insufficient_budget_raises(self, two_stage_stencil, rng):
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        with pytest.raises(StreamError):
-            run_chunked_parallel(two_stage_stencil, {"x": x},
-                                 CpuExecutor(), max_ext_lines=4,
-                                 n_workers=2)
-
-
 class TestFallback:
-    def test_pool_unavailable_falls_back_to_serial(self, two_stage_stencil,
-                                                   rng, monkeypatch):
+    def test_pool_unavailable_falls_back_to_serial(self, small_cube,
+                                                   monkeypatch):
         """A host without working pools still gets correct results."""
         def broken_pool(*args, **kwargs):
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(pool_mod, "_make_pool", broken_pool)
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = run_chunked(two_stage_stencil, {"x": x}, CpuExecutor(),
-                             max_ext_lines=9)
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=4)
-        np.testing.assert_array_equal(parallel["twice"].data,
-                                      serial["twice"].data)
+        _assert_matches(parallel_morphological_stage(small_cube, 1,
+                                                     n_workers=4),
+                        mei_reference(small_cube, 1))
 
-    def test_pool_unavailable_records_recovery_event(self, two_stage_stencil,
-                                                     rng, monkeypatch):
+    def test_pool_unavailable_records_recovery_event(self, small_cube,
+                                                     monkeypatch):
         monkeypatch.setattr(
             pool_mod, "_make_pool",
             lambda *a, **k: (_ for _ in ()).throw(OSError("nope")))
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
         profiler = Profiler()
-        run_chunked_parallel(two_stage_stencil, {"x": x}, CpuExecutor(),
-                             max_ext_lines=9, n_workers=4,
-                             profiler=profiler)
+        parallel_morphological_stage(small_cube, 1, n_workers=4,
+                                     profiler=profiler)
         events = [e for e in profiler.event_records
                   if e.kind == "pool_recovery"]
         assert len(events) == 1
@@ -175,153 +83,126 @@ class TestResilience:
 
     The injector is installed in the parent; fork-based pool workers
     inherit it, so worker-side execution sees the same fault plan.
+    ``small_cube`` has 10 lines; five chunks give 2 core lines each.
     """
 
-    def _serial(self, graph, x):
-        return run_chunked(graph, {"x": x}, CpuExecutor(),
-                           max_ext_lines=9)["twice"].data
-
-    def test_worker_crash_recovers_bit_identical(self, two_stage_stencil,
-                                                 rng, _clean_faults):
+    def test_worker_crash_recovers_bit_identical(self, small_cube,
+                                                 _clean_faults):
         """A worker dying mid-task (os._exit) loses only its chunk."""
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = self._serial(two_stage_stencil, x)
         faults.install(FaultInjector(
             [FaultSpec(kind="worker_crash", index=0, attempt=0)]))
         profiler = Profiler()
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=2, profiler=profiler,
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=2, profiler=profiler,
             policy=RetryPolicy(chunk_timeout_s=2.0))
-        np.testing.assert_array_equal(parallel["twice"].data, serial)
+        _assert_matches(maps, mei_reference(small_cube, 1))
         assert any(e.kind == "pool_recovery" and e.chunk_index == 0
                    for e in profiler.event_records)
         recovered = [r for r in profiler.chunk_records if r.index == 0]
         assert recovered[0].worker == os.getpid()   # recomputed in-process
         assert recovered[0].retries >= 1
 
-    def test_injected_timeout_recovers_bit_identical(self, two_stage_stencil,
-                                                     rng, _clean_faults):
+    def test_injected_timeout_recovers_bit_identical(self, small_cube,
+                                                     _clean_faults):
         """A stalled chunk trips the deadline and is recomputed."""
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = self._serial(two_stage_stencil, x)
         faults.install(FaultInjector(
             [FaultSpec(kind="timeout", index=1, attempt=0, sleep_s=20.0)]))
         profiler = Profiler()
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=2, profiler=profiler,
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=2, profiler=profiler,
             policy=RetryPolicy(chunk_timeout_s=1.0))
-        np.testing.assert_array_equal(parallel["twice"].data, serial)
+        _assert_matches(maps, mei_reference(small_cube, 1))
         assert any(e.kind == "pool_recovery" and e.chunk_index == 1
                    for e in profiler.event_records)
 
-    def test_transient_fault_retried_worker_side(self, two_stage_stencil,
-                                                 rng, _clean_faults):
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = self._serial(two_stage_stencil, x)
+    def test_transient_fault_retried_worker_side(self, small_cube,
+                                                 _clean_faults):
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=2, attempt=0)]))
         profiler = Profiler()
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=2, profiler=profiler,
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=2, n_chunks=5, profiler=profiler,
             policy=RetryPolicy(max_retries=1))
-        np.testing.assert_array_equal(parallel["twice"].data, serial)
+        _assert_matches(maps, mei_reference(small_cube, 1))
         retried = [r for r in profiler.chunk_records if r.index == 2]
         assert retried[0].retries == 1
         assert retried[0].worker != os.getpid()     # stayed in the pool
 
-    def test_transient_fault_retried_serially(self, two_stage_stencil,
-                                              rng, _clean_faults):
+    def test_transient_fault_retried_serially(self, small_cube,
+                                              _clean_faults):
         """The serial path runs the same retry loop in-process."""
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = self._serial(two_stage_stencil, x)
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=2, attempt=0)]))
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=1,
+        profiler = Profiler()
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=1, n_chunks=5, profiler=profiler,
             policy=RetryPolicy(max_retries=1))
-        np.testing.assert_array_equal(parallel["twice"].data, serial)
+        _assert_matches(maps, mei_reference(small_cube, 1))
+        retried = [r for r in profiler.chunk_records if r.index == 2]
+        assert retried[0].retries == 1
 
-    def test_exhausted_retries_raise(self, two_stage_stencil, rng,
-                                     _clean_faults):
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
+    def test_exhausted_retries_raise(self, small_cube, _clean_faults):
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=0, attempt=None)]))
-        from repro.errors import TransientFaultError
-
         with pytest.raises(TransientFaultError):
-            run_chunked_parallel(
-                two_stage_stencil, {"x": x}, CpuExecutor(),
-                max_ext_lines=9, n_workers=1,
+            parallel_morphological_stage(
+                small_cube, 1, n_workers=1, n_chunks=5,
                 policy=RetryPolicy(max_retries=2))
 
-    def test_oom_degrades_and_stays_bit_identical(self, two_stage_stencil,
-                                                  rng, _clean_faults):
+    def test_oom_degrades_and_stays_bit_identical(self, small_cube,
+                                                  _clean_faults):
         """Injected OOM forces a smaller-chunk re-plan, same results."""
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
-        serial = self._serial(two_stage_stencil, x)
         faults.install(FaultInjector(
-            [FaultSpec(kind="gpu_oom", attempt=None, ext_lines_above=8)]))
+            [FaultSpec(kind="gpu_oom", attempt=None, ext_lines_above=4)]))
         profiler = Profiler()
-        parallel = run_chunked_parallel(
-            two_stage_stencil, {"x": x}, CpuExecutor(),
-            max_ext_lines=9, n_workers=1, profiler=profiler)
-        np.testing.assert_array_equal(parallel["twice"].data, serial)
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=1, n_chunks=2, profiler=profiler)
+        _assert_matches(maps, mei_reference(small_cube, 1))
         degrades = [e for e in profiler.event_records
                     if e.kind == "oom_degrade"]
         assert len(degrades) == 1
-        assert "9 -> 5" in degrades[0].detail   # halo 2: floor is 5
+        # 5 core lines (6 extended) -> 2 core lines (at most 4 extended)
+        assert "5 -> 2" in degrades[0].detail
 
-    def test_oom_below_floor_raises(self, two_stage_stencil, rng,
-                                    _clean_faults):
-        """Degradation bottoms out at the halo-imposed minimum."""
-        from repro.errors import GpuOutOfMemoryError
-
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
+    def test_oom_below_floor_raises(self, small_cube, _clean_faults):
+        """Degradation bottoms out at one core line per chunk."""
         faults.install(FaultInjector(
-            [FaultSpec(kind="gpu_oom", attempt=None, ext_lines_above=4)]))
+            [FaultSpec(kind="gpu_oom", attempt=None, ext_lines_above=2)]))
         with pytest.raises(GpuOutOfMemoryError):
-            run_chunked_parallel(
-                two_stage_stencil, {"x": x}, CpuExecutor(),
-                max_ext_lines=9, n_workers=1)
+            parallel_morphological_stage(small_cube, 1, n_workers=1,
+                                         n_chunks=2)
 
 
 class TestProfiling:
-    def test_one_record_per_chunk(self, two_stage_stencil, rng):
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
+    def test_one_record_per_chunk(self, small_cube):
         profiler = Profiler()
-        run_chunked_parallel(two_stage_stencil, {"x": x}, CpuExecutor(),
-                             max_ext_lines=9, n_workers=2,
-                             profiler=profiler)
+        parallel_morphological_stage(small_cube, 1, n_workers=2,
+                                     n_chunks=5, profiler=profiler)
         records = profiler.chunk_records
-        assert len(records) == 6  # 30 lines / (9 - 2*2) core lines
-        assert sorted(r.index for r in records) == list(range(6))
-        assert sum(r.core_lines for r in records) == 30
+        assert len(records) == 5  # 10 lines / 2 core lines
+        assert sorted(r.index for r in records) == list(range(5))
+        assert sum(r.core_lines for r in records) == 10
         for r in records:
             assert r.ext_lines >= r.core_lines
-            assert r.halo == 2
+            assert r.halo == 1
             assert r.wall_s >= 0.0
 
-    def test_gpu_records_carry_transfer_split(self, two_stage_stencil, rng):
-        x = Stream.from_scalar("x", rng.uniform(size=(24, 6)))
+    def test_gpu_records_carry_transfer_split(self, small_cube):
         profiler = Profiler()
-        run_chunked_parallel(two_stage_stencil, {"x": x}, GpuExecutor(),
-                             max_ext_lines=10, n_workers=2,
-                             profiler=profiler)
+        maps = parallel_morphological_stage(small_cube, 1, backend="gpu",
+                                            n_workers=2, profiler=profiler)
+        _assert_matches(maps, gpu_morphological_stage(small_cube, 1))
+        assert len(profiler.chunk_records) == 2
         for r in profiler.chunk_records:
             assert r.upload_s > 0.0
             assert r.compute_s > 0.0
             assert r.download_s > 0.0
 
-    def test_cpu_records_have_no_bus_time(self, two_stage_stencil, rng):
-        x = Stream.from_scalar("x", rng.uniform(size=(30, 7)))
+    def test_cpu_records_have_no_bus_time(self, small_cube):
         profiler = Profiler()
-        run_chunked_parallel(two_stage_stencil, {"x": x}, CpuExecutor(),
-                             max_ext_lines=9, n_workers=1,
-                             profiler=profiler)
+        parallel_morphological_stage(small_cube, 1, n_workers=1,
+                                     n_chunks=3, profiler=profiler)
+        assert len(profiler.chunk_records) == 3
         for r in profiler.chunk_records:
             assert r.upload_s == 0.0 and r.download_s == 0.0
             assert r.compute_s > 0.0

@@ -226,3 +226,47 @@ class TestExecutors:
         out = CpuExecutor().run(graph, {"x": x})
         np.testing.assert_allclose(out["o"].scalar(),
                                    3 * x.scalar() - 1, rtol=1e-6)
+
+
+def _count_fetches(monkeypatch):
+    """Count every fixed-offset fetch the interpreter issues."""
+    from repro.gpu import interpreter
+
+    calls = {"n": 0}
+    real = interpreter._fetch_static
+
+    def counting(texture, dx, dy):
+        calls["n"] += 1
+        return real(texture, dx, dy)
+
+    monkeypatch.setattr(interpreter, "_fetch_static", counting)
+    return calls
+
+
+def _twice_graph():
+    body = ir.add(ir.TexFetch("a", 1, 0), ir.TexFetch("a", 1, 0))
+    kernel = StreamKernel.from_expression("twice", body, inputs=("a",))
+    return StageGraph("g", inputs=("x",),
+                      steps=(Step(kernel, {"a": "x"}, "out"),),
+                      outputs=("out",))
+
+
+class TestStructuralMemo:
+    def test_equal_distinct_subtrees_fetch_once(self, rng, monkeypatch):
+        """Two structurally equal (but distinct) offset fetches hit the
+        texture unit once per launch — the id()-memo bug this release
+        fixed."""
+        calls = _count_fetches(monkeypatch)
+        x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
+        CpuExecutor().run(_twice_graph(), {"x": x})
+        assert calls["n"] == 1
+
+    def test_equal_distinct_subtrees_fetch_once_on_device(self, rng,
+                                                          monkeypatch):
+        """The same pin through ``VirtualGPU.launch``: the compiled
+        plan's structural CSE keeps the two equal fetches on one
+        register."""
+        calls = _count_fetches(monkeypatch)
+        x = Stream.from_scalar("x", rng.uniform(size=(6, 6)))
+        GpuExecutor(VirtualGPU()).run(_twice_graph(), {"x": x})
+        assert calls["n"] == 1

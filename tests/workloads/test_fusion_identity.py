@@ -119,20 +119,20 @@ class TestAmcIdentity:
         assert morph.counters.get("border_pixels_shared", 0.0) > 0.0
 
     def test_gpu_counters_report_fusion(self, cube):
+        """No production path fuses passes: both fusion keys stay in
+        the counter summary, always zero, and the morphology stage
+        record carries neither."""
         profiler = Profiler()
         result = run_amc(cube, AMCConfig(n_classes=3, backend="gpu"),
                          profiler=profiler)
         summary = result.gpu_output.counters
-        assert "passes_fused" in summary
-        assert "temporaries_elided" in summary
-        # the hand-tuned AMC kernels elide one scratch per launch
-        assert summary["temporaries_elided"] > 0.0
-        # the same numbers reach the --profile morphology stage record
+        assert summary["passes_fused"] == 0.0
+        assert summary["temporaries_elided"] == 0.0
+        assert summary["kernel_launches"] > 0.0
         (morph,) = [r for r in profiler.stage_records
                     if r.name == "morphology"]
-        assert morph.counters["temporaries_elided"] == \
-            summary["temporaries_elided"]
-        assert morph.counters["passes_fused"] == summary["passes_fused"]
+        assert "passes_fused" not in morph.counters
+        assert "temporaries_elided" not in morph.counters
 
 
 class TestChaosRetryIdentity:
