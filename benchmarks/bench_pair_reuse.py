@@ -13,8 +13,7 @@ and the border-recompute overhead, and asserts the outputs stay
 bit-identical — the property that lets the engine replace the loop.
 
 Absolute speedups are host-dependent; the recorded artefact is the
-measurement.  ``tools/bench_record.py`` runs the acceptance
-measurement (radius 2, >= 2x) and writes ``BENCH_morph.json``.
+measurement.
 """
 
 import time

@@ -138,11 +138,7 @@ def _classify_batch(args: argparse.Namespace, config) -> int:
             continue
         _write_outputs(result, path)
     if profiler is not None:
-        rep = profiler.report()
-        if args.profile == "-":
-            print(rep.to_text())
-        else:
-            print(f"profile report:     {rep.save(args.profile)}")
+        _print_profile(profiler, args.profile)
     return 1 if failed == len(results) and failed else 0
 
 
@@ -203,11 +199,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
               f"({out.chunk_count} chunk(s), "
               f"{out.counters['kernel_launches']:.0f} launches)")
     if profiler is not None:
-        rep = profiler.report()
-        if args.profile == "-":
-            print(rep.to_text())
-        else:
-            print(f"profile report:     {rep.save(args.profile)}")
+        _print_profile(profiler, args.profile)
     return 0
 
 

@@ -21,15 +21,11 @@ See ``docs/parallel.md`` for the architecture and the correctness
 argument.
 """
 
-from repro.parallel.amc import (
-    combine_gpu_accounting,
-    parallel_morphological_stage,
-)
+from repro.parallel.amc import parallel_morphological_stage
 from repro.parallel.map import parallel_pixel_map
 from repro.parallel.pool import resolve_workers, run_tasks
 
 __all__ = [
-    "combine_gpu_accounting",
     "parallel_morphological_stage",
     "parallel_pixel_map",
     "resolve_workers",

@@ -36,11 +36,9 @@ import time
 import numpy as np
 
 from repro.backends import MorphologicalBackend, get_backend
-from repro.core.amc_gpu import GpuAmcOutput
 from repro.core.pairreuse import sum_reuse_counters
 from repro.errors import GpuOutOfMemoryError, ShapeError
 from repro.faults import maybe_inject
-from repro.gpu.counters import GpuCounters
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
 from repro.hsi.chunking import plan_chunks_by_lines
 from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
@@ -90,19 +88,6 @@ def _morph_chunk(chunk):
     return chunk.index, cores, record, piece.accounting, piece.stats
 
 
-def combine_gpu_accounting(morph: GpuAmcOutput,
-                           extra: GpuCounters) -> GpuAmcOutput:
-    """Fold further device activity into a morphological-stage output.
-
-    Used when the tail stages (GPU unmixing) ran on a *different*
-    device than the — possibly many, parallel — morphological boards:
-    returns a new :class:`GpuAmcOutput` whose accounting covers both.
-    Thin wrapper over
-    :meth:`~repro.core.amc_gpu.GpuAmcOutput.with_accounting`.
-    """
-    return morph.with_accounting(extra, add=True)
-
-
 def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
                                  backend="reference",
                                  n_workers: int = 0,
@@ -150,7 +135,8 @@ def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
     (mei, erosion_index, dilation_index, gpu_output)
         Stitched full-image maps, bit-identical to the serial
         implementations; ``gpu_output`` is the summed
-        :class:`GpuAmcOutput` for device backends, else ``None``.
+        :class:`~repro.core.amc_gpu.GpuAmcOutput` for device backends,
+        else ``None``.
     """
     bip = np.asarray(bip)
     if bip.ndim != 3:

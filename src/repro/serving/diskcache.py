@@ -188,8 +188,7 @@ class DiskCacheTier:
         except TransientFaultError:
             self.stats.misses += 1
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError,
-                KeyError, AttributeError, TypeError) as exc:
+        except (OSError, *durable.UNPICKLE_ERRORS) as exc:
             self._forget(key)
             if not isinstance(exc, FileNotFoundError):
                 self._quarantine(path)

@@ -23,6 +23,15 @@ enforces the protocol statically: no other module under
 from __future__ import annotations
 
 import os
+import pickle
+
+#: What ``pickle.load`` raises on a damaged or stale durable file: torn
+#: or garbled bytes, and a class whose module or name no longer exists
+#: (``ImportError`` covers ``ModuleNotFoundError``).  Both durable
+#: readers (the disk cache tier and the payload spill) quarantine on
+#: these instead of letting them escape.
+UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, ValueError,
+                   KeyError, AttributeError, TypeError, ImportError)
 
 
 def ensure_dir(path: str) -> str:

@@ -102,7 +102,8 @@ class JobJournal:
 
     All methods run on the event-loop thread (the same discipline as
     the rest of the server state); the fsync cost per append is the
-    durability price, measured by ``BENCH_recovery.json``.
+    durability price, measured as ``serving.journal_append_ms`` by
+    ``perfbench/run.py --workload mix-durable``.
     """
 
     def __init__(self, state_dir: str) -> None:
@@ -249,8 +250,7 @@ class JobJournal:
                 return pickle.load(fh)
         except FileNotFoundError:
             return None
-        except (pickle.UnpicklingError, EOFError, ValueError,
-                KeyError, AttributeError):
+        except durable.UNPICKLE_ERRORS:
             durable.rename(path, path + ".quarantined")
             return None
 

@@ -100,6 +100,21 @@ class TestQuarantine:
         assert tier.get("k1") is None
         assert tier.stats.quarantined == 1
 
+    def test_entry_naming_a_missing_module_is_quarantined(self, tier,
+                                                          amc_result):
+        # a pickle whose class moved away raises ModuleNotFoundError on
+        # load; that is damage like any other, not an error to escape
+        tier.put("k1", amc_result, digest=result_digest(amc_result))
+        path = self._entry_file(tier, "k1")
+        data = open(path, "rb").read()
+        assert b"repro.core.amc" in data
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"repro.core.amc", b"repro.core.amX"))
+        assert tier.get("k1") is None
+        assert tier.stats.quarantined == 1
+        assert os.path.exists(os.path.join(tier.quarantine_dir, "k1.res"))
+        assert tier.get("k1") is None
+
     def test_orphan_files_are_quarantined_on_load(self, tier, tmp_path,
                                                   amc_result):
         with open(self._entry_file(tier, "orphan"), "wb") as fh:

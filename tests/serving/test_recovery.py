@@ -11,6 +11,7 @@ process-kill path is ``test_chaos_recovery.py``).
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -164,6 +165,31 @@ class TestInterruptedReplay:
         assert status.recovered
         assert "payload lost" in status.error
         assert failed == 1
+
+    def test_payload_naming_a_missing_module_fails_only_that_job(
+            self, small_cube, tmp_path):
+        key = self._crash_with_inflight_job(small_cube, tmp_path)
+        path = JobJournal(_state(tmp_path))._payload_path(key)
+        data = open(path, "rb").read()
+        assert b"repro.core.amc" in data
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"repro.core.amc", b"repro.core.amX"))
+
+        async def recovered_life():
+            async with AMCServer(workers=1,
+                                 state_dir=_state(tmp_path)) as server:
+                job = await server.submit(small_cube, PARAMS)
+                return (server.status(3), server.counters.failed,
+                        await server.wait(job.job_id))
+
+        status, failed, fresh = asyncio.run(recovered_life())
+        assert status.state == jobstates.FAILED
+        assert status.recovered
+        assert "payload lost or corrupt" in status.error
+        assert failed == 1
+        assert os.path.exists(path + ".quarantined")
+        # the server started and still serves the same key afresh
+        assert fresh.state == jobstates.DONE
 
     def test_torn_journal_tail_does_not_block_startup(self, small_cube,
                                                       tmp_path):

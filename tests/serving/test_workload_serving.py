@@ -17,7 +17,7 @@ import pytest
 from repro.errors import NonFiniteInputError, UnknownWorkloadError
 from repro.serving import AMCServer, job_key, result_digest, result_nbytes
 from repro.serving import jobs as jobstates
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 
 def _target_of(cube):
@@ -118,29 +118,41 @@ class TestServerWorkloads:
         assert amc.workload == "amc"
 
     def test_mixed_workloads_do_not_collide(self, small_cube):
-        """One server, four workloads, one cube: four pipeline runs,
-        four distinct digests."""
+        """One server, every registered workload, one cube: one
+        pipeline run and one distinct digest per workload; resubmitting
+        every job hits the cache with the same bytes."""
         target = _target_of(small_cube)
+        extra = {"amc": {"n_classes": 3}, "pca": {"n_components": 2}}
+
+        def params_for(name):
+            params = dict(extra.get(name, {}))
+            if get_workload(name).requires_target:
+                params["target"] = target
+            return params
+
+        async def submit_all(server):
+            jobs = [await server.submit(small_cube, params_for(name),
+                                        workload=name)
+                    for name in workload_names()]
+            return [await server.wait(j.job_id) for j in jobs]
 
         async def scenario():
             async with AMCServer(workers=2) as server:
-                jobs = [
-                    await server.submit(small_cube, {"n_classes": 3}),
-                    await server.submit(small_cube, {"target": target},
-                                        workload="sam"),
-                    await server.submit(small_cube, workload="rx"),
-                    await server.submit(small_cube, {"n_components": 2},
-                                        workload="pca"),
-                ]
-                done = [await server.wait(j.job_id) for j in jobs]
-            return server, done
+                cold = await submit_all(server)
+                runs = server.stats()["pipeline_runs"]
+                warm = await submit_all(server)
+            return server, runs, cold, warm
 
-        server, done = asyncio.run(scenario())
-        assert all(s.state == jobstates.DONE for s in done)
-        assert not any(s.from_cache for s in done)
-        digests = [s.result_sha256 for s in done]
-        assert len(set(digests)) == 4
-        assert server.stats()["pipeline_runs"] == 4
+        server, runs, cold, warm = asyncio.run(scenario())
+        assert "cem" in workload_names()
+        assert all(s.state == jobstates.DONE for s in cold + warm)
+        assert not any(s.from_cache for s in cold)
+        digests = [s.result_sha256 for s in cold]
+        assert len(set(digests)) == len(workload_names())
+        assert runs == len(workload_names())
+        assert server.stats()["pipeline_runs"] == runs
+        assert all(s.from_cache for s in warm)
+        assert [s.result_sha256 for s in warm] == digests
 
     def test_detection_result_matches_direct_run(self, small_cube):
         """Server-mediated execution is bit-identical to a direct run."""
