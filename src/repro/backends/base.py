@@ -124,12 +124,6 @@ class MorphologicalBackend:
     supports_device_unmixing: bool = False
     #: Whether the CLI ``--trace`` device timeline applies.
     supports_trace: bool = False
-    #: Whether :meth:`run_chunk` accepts a ``halo_margins=(top,
-    #: bottom)`` keyword — the chunk-parallel executor then tells the
-    #: backend which extended-region rows are discarded halo, so the
-    #: cross-chunk shift-reuse can skip border corrections a
-    #: neighbouring chunk already owns.
-    accepts_halo_margins: bool = False
 
     def run(self, bip: np.ndarray, radius: int, *, spec=None,
             device=None) -> MorphologyResult:

@@ -30,7 +30,6 @@ class ReferenceBackend(MorphologicalBackend):
     """
 
     name = "reference"
-    accepts_halo_margins = True
 
     def run(self, bip, radius, *, spec=None, device=None):
         """Whole-image morphological stage via the vectorized pair
@@ -43,25 +42,6 @@ class ReferenceBackend(MorphologicalBackend):
                                 erosion_index=out.erosion_index,
                                 dilation_index=out.dilation_index,
                                 stats=stats)
-
-    def run_chunk(self, bip, radius, *, spec=None,
-                  halo_margins=(0, 0)):
-        """One halo-extended chunk, with cross-chunk shift-reuse.
-
-        ``halo_margins`` names the extended-region rows the stitcher
-        will discard (a neighbouring chunk owns them); the engine skips
-        border corrections confined to those rows and counts them as
-        ``border_pixels_shared``.  Core rows are bit-identical to a
-        whole-image run.
-        """
-        from repro.core.mei import mei_reference
-
-        out = mei_reference(bip, radius, halo_margins=halo_margins)
-        stats = None if out.stats is None else out.stats.as_counters()
-        return ChunkResult(mei=out.mei.astype(self.mei_dtype, copy=False),
-                           erosion_index=out.erosion_index,
-                           dilation_index=out.dilation_index,
-                           stats=stats)
 
 
 class NaiveBackend(MorphologicalBackend):

@@ -22,13 +22,14 @@ oracle, GPU):
   order of the SE).
 
 The production path is the shift-reuse engine of
-:mod:`repro.core.pairreuse`: one full-image SID map per *unique offset
-difference* (``((4r+1)^2 - 1)/2`` maps), every pair map a shifted view
-plus a recomputed border band, and a sorted MEI gather over only the
-(erosion, dilation) pairs that occur.  :func:`mei_all_pairs` keeps the
-historical all-pairs loop — one full-image map per unordered SE-offset
-pair (``K(K-1)/2`` maps) via the cross-entropy decomposition — as the
-bit-identity oracle the engine is pinned against;
+:mod:`repro.core.pairreuse`: one SID map per *unique offset
+difference* (``((4r+1)^2 - 1)/2`` maps) over the image edge-padded by
+the SE radius, every pair map a plain slice of one of them, and a
+sorted MEI gather over only the (erosion, dilation) pairs that occur.
+:func:`mei_all_pairs` keeps the historical all-pairs loop — one
+full-image map per unordered SE-offset pair (``K(K-1)/2`` maps) via the
+cross-entropy decomposition — as the bit-identity oracle the engine is
+pinned against;
 :func:`repro.core.naive.mei_naive` is the independent float-tolerance
 oracle.
 """
@@ -157,9 +158,7 @@ PairReuseEngine.pair_map` instead).
 
 
 def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
-                  prenormalized: bool = False,
-                  halo_margins: tuple[int, int] = (0, 0)
-                  ) -> MorphologicalOutput:
+                  prenormalized: bool = False) -> MorphologicalOutput:
     """Full morphological stage on the CPU (vectorized reference).
 
     Parameters
@@ -170,13 +169,6 @@ def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
         SE radius.
     prenormalized:
         Skip eq. 3-4 normalization when the caller already applied it.
-    halo_margins:
-        ``(top, bottom)`` rows that are this image's discarded chunk
-        halo — a neighbouring chunk owns them.  Border bands falling
-        entirely inside a margin are skipped and counted as
-        ``border_pixels_shared``; **the returned arrays are then only
-        valid outside the margins** (the chunk stitcher discards the
-        rest).  Must be ``(0, 0)`` — the default — everywhere else.
 
     Returns
     -------
@@ -184,8 +176,7 @@ def mei_reference(cube_bip: np.ndarray, radius: int = 1, *,
     """
     normalized, log_img, entropy = _prepare(cube_bip, prenormalized)
     engine = PairReuseEngine(normalized, se_offsets(radius),
-                             log_img=log_img, entropy=entropy,
-                             halo_margins=halo_margins)
+                             log_img=log_img, entropy=entropy)
     cumulative = engine.accumulate_cumulative()
     erosion_index = np.argmin(cumulative, axis=2)
     dilation_index = np.argmax(cumulative, axis=2)

@@ -9,9 +9,10 @@ places; this module is the single home.
 
 Index vectors are cached per ``(extent, offset)`` and returned
 read-only, so repeated fixed-offset fetches (the overwhelmingly common
-case in the AMC kernels and in the shift-reuse engine of
-:mod:`repro.core.pairreuse`) cost one fancy-indexing gather each and
-never rebuild their index arithmetic.
+case in the AMC kernels and the all-pairs oracle) cost one
+fancy-indexing gather each and never rebuild their index arithmetic.
+The shift-reuse engine of :mod:`repro.core.pairreuse` applies the same
+rule once instead, by edge-padding its inputs by the SE radius.
 
 The module sits below everything else in :mod:`repro.core` (it imports
 only NumPy), so any layer — including :mod:`repro.gpu` — can use it
@@ -85,17 +86,3 @@ def shifted_copy(arr: np.ndarray, dy: int, dx: int) -> np.ndarray:
         out[:, 0:cx0] = out[:, cx0:cx0 + 1]
     return out
 
-
-def edge_rows(extent: int, offset: int) -> np.ndarray:
-    """Row indices where ``row + offset`` falls outside ``[0, extent)``.
-
-    These are exactly the rows on which clamp-to-edge addressing fires
-    for a shift by ``offset`` — the border band the shift-reuse engine
-    must recompute explicitly (at most ``|offset|`` rows, on the edge
-    the shift points away from).
-    """
-    if offset > 0:
-        return np.arange(max(extent - offset, 0), extent)
-    if offset < 0:
-        return np.arange(0, min(-offset, extent))
-    return np.arange(0)

@@ -66,17 +66,6 @@ class Chunk:
         """First core line, relative to the extended region's first line."""
         return self.core_start - self.ext_start
 
-    @property
-    def halo_margins(self) -> tuple[int, int]:
-        """(top, bottom) halo heights of the extended region, in lines.
-
-        These rows exist only as stencil context — a neighbouring chunk
-        owns them and the stitcher discards them — so a backend that
-        :attr:`~repro.backends.MorphologicalBackend.accepts_halo_margins`
-        may skip work confined to them (cross-chunk shift-reuse)."""
-        return (self.core_start - self.ext_start,
-                self.ext_stop - self.core_stop)
-
     def extract(self, bip: np.ndarray) -> np.ndarray:
         """Slice the extended region out of a (lines, samples, bands) array
         (view, no copy)."""

@@ -65,14 +65,7 @@ def _morph_chunk(chunk):
     backend, spec = _STATE["backend"], _STATE["spec"]
     sub = bip[chunk.ext_start:chunk.ext_stop]
     start = time.perf_counter()
-    if backend.accepts_halo_margins:
-        # Tell the backend which rows are discarded halo so the fused
-        # engine can skip border corrections the neighbouring chunk
-        # already computes in its core (cross-chunk shift-reuse).
-        piece = backend.run_chunk(sub, radius, spec=spec,
-                                  halo_margins=chunk.halo_margins)
-    else:
-        piece = backend.run_chunk(sub, radius, spec=spec)
+    piece = backend.run_chunk(sub, radius, spec=spec)
     wall = time.perf_counter() - start
     if piece.split is None:
         upload, compute, download = 0.0, wall, 0.0

@@ -51,6 +51,10 @@ from repro.serving import jobs as jobstates
 #: Journal record schema version.
 RECORD_VERSION = 1
 
+#: The keys of a spilled request payload, exactly.
+PAYLOAD_KEYS = frozenset({"v", "workload", "bip", "config",
+                          "ground_truth", "class_names"})
+
 #: File names inside a state directory.
 JOURNAL_FILE = "journal.jsonl"
 PAYLOAD_DIR = "payloads"
@@ -240,19 +244,25 @@ class JobJournal:
     def load_payload(self, key: str) -> dict | None:
         """The spilled request for ``key``, or None when missing/torn.
 
-        A payload that fails to unpickle is quarantined (never trusted)
-        and reported missing — the caller fails the job explicitly
-        rather than re-running garbage.
+        A payload that fails to unpickle, or unpickles to anything but
+        a current-version dict with exactly :data:`PAYLOAD_KEYS`, is
+        quarantined (never trusted) and reported missing — the caller
+        fails the job explicitly rather than re-running garbage.
         """
         path = self._payload_path(key)
         try:
             with open(path, "rb") as fh:
-                return pickle.load(fh)
+                payload = pickle.load(fh)
         except FileNotFoundError:
             return None
         except durable.UNPICKLE_ERRORS:
+            payload = None
+        if not (isinstance(payload, dict)
+                and payload.keys() == PAYLOAD_KEYS
+                and payload["v"] == RECORD_VERSION):
             durable.rename(path, path + ".quarantined")
             return None
+        return payload
 
     def drop_payload(self, key: str) -> bool:
         """Delete the spilled request once its job is terminal."""

@@ -85,7 +85,15 @@ from repro.serving.jobs import Job, JobStatus
 from repro.serving.journal import JobJournal
 from repro.serving.queue import AdmissionQueue
 from repro.serving.watchdog import Heartbeat, Watchdog
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
+
+
+def _registered_workload(name):
+    """The registered workload called ``name``; None for a missing or
+    unregistered name (journal replay must not raise on either)."""
+    if isinstance(name, str) and name in workload_names():
+        return get_workload(name)
+    return None
 
 
 @dataclass
@@ -522,8 +530,7 @@ class AMCServer:
         self.journal.compact(report)
         self._next_id = max(self._next_id, report.max_job_id + 1)
         for replayed in report.jobs.values():
-            workload = (None if replayed.workload is None
-                        else get_workload(replayed.workload))
+            workload = _registered_workload(replayed.workload)
             if replayed.state in jobstates.TERMINAL_STATES:
                 job = Job(replayed.job_id, replayed.key, bip=None,
                           config=None, workload=workload,
@@ -537,7 +544,9 @@ class AMCServer:
                 continue
             # queued or running at crash time: the execution was lost
             payload = self.journal.load_payload(replayed.key)
-            if payload is None:
+            replay_workload = (None if payload is None else
+                               _registered_workload(payload["workload"]))
+            if replay_workload is None:
                 job = Job(replayed.job_id, replayed.key, bip=None,
                           config=None, workload=workload,
                           state=jobstates.FAILED)
@@ -548,11 +557,11 @@ class AMCServer:
                 self._jobs[job.job_id] = job
                 self._journal_safe(jobstates.FAILED, job,
                                    error=job.error)
+                self._drop_payload_safe(job)
                 self.counters.failed += 1
                 continue
-            workload = get_workload(payload["workload"])
             job = Job(replayed.job_id, replayed.key, bip=payload["bip"],
-                      config=payload["config"], workload=workload,
+                      config=payload["config"], workload=replay_workload,
                       ground_truth=payload["ground_truth"],
                       class_names=payload["class_names"],
                       state=jobstates.QUEUED)

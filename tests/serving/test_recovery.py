@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import pickle
 
 import pytest
 
@@ -190,6 +191,34 @@ class TestInterruptedReplay:
         assert os.path.exists(path + ".quarantined")
         # the server started and still serves the same key afresh
         assert fresh.state == jobstates.DONE
+
+    @pytest.mark.parametrize("mangle", [
+        lambda payload: {"v": 1},
+        lambda payload: list(payload.items()),
+        lambda payload: {**payload, "v": 2},
+        lambda payload: {**payload, "workload": "no-such-workload"},
+    ], ids=["keys-missing", "not-a-dict", "other-version",
+            "unknown-workload"])
+    def test_malformed_payload_fails_the_job_not_startup(self, small_cube,
+                                                         tmp_path, mangle):
+        key = self._crash_with_inflight_job(small_cube, tmp_path)
+        path = JobJournal(_state(tmp_path))._payload_path(key)
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        with open(path, "wb") as fh:
+            pickle.dump(mangle(payload), fh)
+
+        async def recovered_life():
+            async with AMCServer(workers=1,
+                                 state_dir=_state(tmp_path)) as server:
+                return server.status(3), server.counters.failed
+
+        status, failed = asyncio.run(recovered_life())
+        assert status.state == jobstates.FAILED
+        assert status.recovered
+        assert "payload lost or corrupt" in status.error
+        assert failed == 1
+        assert not os.path.exists(path)     # quarantined or dropped
 
     def test_torn_journal_tail_does_not_block_startup(self, small_cube,
                                                       tmp_path):

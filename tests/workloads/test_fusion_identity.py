@@ -4,8 +4,7 @@ Each layer runs one production path; the historical evaluators survive
 only as oracles this file calls directly.  The reference backend is
 compared against the all-pairs loop (:func:`repro.core.mei.mei_all_pairs`)
 — serial, chunk-parallel, and chunk-parallel under injected faults,
-where a retried chunk shares border-correction pixels with its
-neighbour via the halo-margin handoff and must not double-apply them.
+where a retried chunk must reproduce its first attempt exactly.
 The GPU backend is compared against the recursive shader evaluator
 (:func:`repro.gpu.interpreter.execute`) with clamped-index gather
 fetches.  The contract is *byte* identity: every result array must hash
@@ -56,12 +55,11 @@ def _all_pairs_oracle(patch):
     """Route the reference backend through the all-pairs loop.
 
     The backend imports ``mei_reference`` at call time and pool workers
-    are forked, so the substitution reaches every chunk.  The oracle
-    computes every pixel exactly, so it ignores the halo margins.
+    are forked, so the substitution reaches every chunk.
     """
     import repro.core.mei as mei_mod
 
-    def all_pairs(bip, radius, *, halo_margins=(0, 0)):
+    def all_pairs(bip, radius):
         return mei_mod.mei_all_pairs(bip, radius)[0]
 
     patch.setattr(mei_mod, "mei_reference", all_pairs)
@@ -103,8 +101,8 @@ class TestAmcIdentity:
 
     def test_parallel_fused_matches_serial_oracle(self, cube,
                                                   monkeypatch):
-        """Chunked execution with halo-margin border sharing stays
-        bit-identical to the serial all-pairs oracle."""
+        """Chunked execution stays bit-identical to the serial
+        all-pairs oracle."""
         with monkeypatch.context() as patch:
             _all_pairs_oracle(patch)
             oracle = run_amc(cube, AMCConfig(n_classes=3))
@@ -113,10 +111,6 @@ class TestAmcIdentity:
                         profiler=profiler)
         assert _sha256(fused.labels, fused.mei) == \
             _sha256(oracle.labels, oracle.mei)
-        # the margin handoff actually fired: elided border rows counted
-        (morph,) = [r for r in profiler.stage_records
-                    if r.name == "morphology"]
-        assert morph.counters.get("border_pixels_shared", 0.0) > 0.0
 
     def test_gpu_counters_report_fusion(self, cube):
         """No production path fuses passes: both fusion keys stay in
@@ -136,10 +130,11 @@ class TestAmcIdentity:
 
 
 class TestChaosRetryIdentity:
-    def test_retried_chunk_does_not_double_apply_border_map(
+    def test_retried_chunk_matches_oracle(
             self, cube, _clean_faults, monkeypatch):
-        """A fault-injected chunk retry recomputes its halo margins from
-        scratch; the shared border pixels must be applied exactly once."""
+        """A fault-injected chunk retry recomputes its chunk from
+        scratch; the stitched result matches the serial oracle byte for
+        byte."""
         with monkeypatch.context() as patch:
             _all_pairs_oracle(patch)
             serial = run_amc(cube, AMCConfig(n_classes=3))
