@@ -605,7 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--cache-entries", type=int, default=64, metavar="N",
                      help="result-cache entry budget")
     srv.add_argument("--cache-mb", type=int, default=256, metavar="MB",
-                     help="result-cache payload budget")
+                     help="result-cache payload budget; also bounds "
+                          "the results job records keep alive")
     srv.add_argument("--state-dir", default=None, metavar="DIR",
                      help="enable the durable tier: write-ahead job "
                           "journal + disk result cache here; on "

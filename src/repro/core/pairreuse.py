@@ -25,7 +25,18 @@ difference map over the padded extent.  For every ``|a| <= r`` the
 padded image satisfies ``x_pad[p + r + a] = x[clamp(p + a)]``, so pair
 ``(a, b)`` is exactly the plain slice
 ``D_{b-a}[r + a_y : r + a_y + H, r + a_x : r + a_x + W]`` — image
-borders included, with no per-pair correction.  Every per-pixel
+borders included, with no per-pair correction.
+
+A neighbour is an address, never a copy — the paper's fragment kernels
+reach one by offsetting a texture coordinate.  The engine does the
+same on the CPU: it views the padded arrays pixel-flattened, as
+``(Hp * Wp, N)`` rows, so the difference ``d = (dy, dx)`` is the flat
+offset ``s = dy * Wp + dx`` and both ``einsum`` operands of a
+difference map are contiguous row slices (``p[lo:hi]`` against
+``l[lo + s:hi + s]`` and the reverse).  A flat neighbour that wraps a
+row differs from the 2-D one, but such entries are never read: for
+``|a|, |b| <= r`` both ``q = p + r + a`` and ``q + d = p + r + b`` lie
+inside the padded extent, where the two offsets agree.  Every per-pixel
 operation (cross-term ``einsum`` order, ``h(a) + h(b) - cross``
 association, the non-negativity clamp, the pair accumulation order
 into ``cumulative``) matches the all-pairs reference exactly, so
@@ -63,7 +74,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.shifts import clamped_shift, shifted_copy
+from repro.core.shifts import clamped_shift
 from repro.errors import ShapeError
 from repro.spectral.distances import sid_self_entropy
 from repro.spectral.normalize import safe_log
@@ -198,17 +209,21 @@ class PairReuseEngine:
                 default=0)
         self._radius = r
         # Clamp-to-edge, once: x_pad[p + r + a] == x[clamp(p + a)].
-        self._p = np.pad(self._p_raw, ((r, r), (r, r), (0, 0)), mode="edge")
-        self._l = np.pad(self._l_raw, ((r, r), (r, r), (0, 0)), mode="edge")
+        # The padded cubes are kept pixel-flattened, (Hp * Wp, N), so an
+        # SE neighbour is a flat offset (see difference_map).
         self._h = np.pad(self._h_raw, r, mode="edge")
+        flat = (self._h.size, normalized.shape[2])
+        pad = ((r, r), (r, r), (0, 0))
+        self._p = np.pad(self._p_raw, pad, mode="edge").reshape(flat)
+        self._l = np.pad(self._l_raw, pad, mode="edge").reshape(flat)
         self._shape = normalized.shape[:2]
         self._diff: dict[Offset, np.ndarray] = {}
         self._direct: dict[tuple[int, int], np.ndarray] = {}
         self._raw_shifted: dict[int, tuple] = {}
         # Cross-term scratch, reused across every difference map so the
         # inner loop allocates nothing but results.
-        self._cross_a = np.empty(self._h.shape, dtype=np.float64)
-        self._cross_b = np.empty(self._h.shape, dtype=np.float64)
+        self._cross_a = np.empty(self._h.size, dtype=np.float64)
+        self._cross_b = np.empty(self._h.size, dtype=np.float64)
         self._pair_maps = 0
         self._difference_maps = 0
         self._direct_pairs = 0
@@ -216,26 +231,39 @@ class PairReuseEngine:
 
     def difference_map(self, d: Offset) -> np.ndarray:
         """``D_d(q) = SID(f(q), f(q + d))`` over the padded image
-        (cached)."""
+        (cached).
+
+        Evaluated over the pixel-flattened padded arrays, where ``d`` is
+        the flat offset ``s = dy * Wp + dx`` and both ``einsum``
+        operands are contiguous row slices — no shifted copy of the
+        cube is made.  Entries whose neighbour ``q + d`` leaves the
+        padded extent are meaningless (the flat neighbour wraps a row,
+        or falls off the end and reads as 0); :meth:`pair_map` never
+        reads them.
+        """
         cached = self._diff.get(d)
         if cached is not None:
             return cached
         dy, dx = d
-        # shifted_copy produces byte-identical values in byte-identical
-        # layout (fresh C-contiguous), just without the fancy-indexing
-        # gather the all-pairs oracle uses.
-        p_d = shifted_copy(self._p, dy, dx)
-        l_d = shifted_copy(self._l, dy, dx)
-        h_d = shifted_copy(self._h, dy, dx)
-        # Same arithmetic as the all-pairs reference with a = 0, b = d:
-        # cross = (p_a . l_b) + (p_b . l_a); sid = max(h_a + h_b -
-        # cross, 0).
-        np.einsum("ijk,ijk->ij", self._p, l_d, out=self._cross_a)
-        np.einsum("ijk,ijk->ij", p_d, self._l, out=self._cross_b)
-        np.add(self._cross_a, self._cross_b, out=self._cross_a)
-        sid_map = np.add(self._h, h_d)
-        np.subtract(sid_map, self._cross_a, out=sid_map)
-        np.maximum(sid_map, 0.0, out=sid_map)
+        s = dy * self._h.shape[1] + dx
+        lo, hi = max(0, -s), min(self._h.size, self._h.size - s)
+        sid_map = np.zeros(self._h.shape, dtype=np.float64)
+        if lo < hi:
+            pf, lf, hf = self._p, self._l, self._h.reshape(-1)
+            cross_a = self._cross_a[lo:hi]
+            cross_b = self._cross_b[lo:hi]
+            sid = sid_map.reshape(-1)[lo:hi]
+            # Same arithmetic as the all-pairs reference with a = 0,
+            # b = d: cross = (p_a . l_b) + (p_b . l_a); sid = max(h_a +
+            # h_b - cross, 0).
+            np.einsum("ik,ik->i", pf[lo:hi], lf[lo + s:hi + s],
+                      out=cross_a)
+            np.einsum("ik,ik->i", pf[lo + s:hi + s], lf[lo:hi],
+                      out=cross_b)
+            np.add(cross_a, cross_b, out=cross_a)
+            np.add(hf[lo:hi], hf[lo + s:hi + s], out=sid)
+            np.subtract(sid, cross_a, out=sid)
+            np.maximum(sid, 0.0, out=sid)
         self._diff[d] = sid_map
         self._difference_maps += 1
         return sid_map
