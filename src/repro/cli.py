@@ -317,7 +317,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _serve() -> None:
         server = AMCServer(workers=args.workers,
                            queue_size=args.queue_size,
-                           cache_entries=args.cache_entries,
                            cache_bytes=args.cache_mb << 20,
                            state_dir=args.state_dir,
                            watchdog_deadline_s=args.watchdog_deadline_s,
@@ -329,8 +328,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                        else f", durable state in {args.state_dir}")
             print(f"serving on {args.socket} "
                   f"({args.workers} worker(s), queue {args.queue_size}, "
-                  f"cache {args.cache_entries} entries / "
-                  f"{args.cache_mb} MiB{durable})")
+                  f"cache {args.cache_mb} MiB{durable})")
             recovered = server.counters.recovered
             if recovered:
                 print(f"journal replay re-enqueued {recovered} "
@@ -602,11 +600,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--queue-size", type=int, default=16, metavar="N",
                      help="admission bound: waiting jobs beyond this "
                           "are rejected with a retry-after hint")
-    srv.add_argument("--cache-entries", type=int, default=64, metavar="N",
-                     help="result-cache entry budget")
     srv.add_argument("--cache-mb", type=int, default=256, metavar="MB",
-                     help="result-cache payload budget; also bounds "
-                          "the results job records keep alive")
+                     help="result-cache payload budget: the finished "
+                          "results the server keeps alive")
     srv.add_argument("--state-dir", default=None, metavar="DIR",
                      help="enable the durable tier: write-ahead job "
                           "journal + disk result cache here; on "

@@ -1,12 +1,18 @@
-"""The content-addressed result cache: LRU, size- and entry-bounded.
+"""The content-addressed result cache: LRU under one byte budget.
 
 One entry per :func:`~repro.serving.api.job_key`; the value is the
 finished :class:`~repro.core.amc.AMCResult` plus its frozen per-job
 :class:`~repro.profiling.ProfileReport`.  Eviction is plain LRU over
-two simultaneous budgets — entry count and retained bytes (the
-ndarray payloads, measured by :func:`~repro.serving.api.result_nbytes`)
-— because hyperspectral results are wildly size-skewed: one full-scene
-result can weigh as much as a thousand thumbnails.
+retained bytes (the ndarray payloads, as the workload's
+``result_nbytes`` measures them), because hyperspectral results are
+wildly size-skewed: one full-scene result can weigh as much as a
+thousand thumbnails.
+
+The cache is the one store that keeps finished results alive.  Job
+records hold the :class:`CacheEntry` they were served; an entry holds
+its result strongly while cached and only weakly once evicted, so the
+bytes kept alive never exceed the budget, except for the newest entry,
+which is kept however large.
 
 Every lookup and eviction is counted (:class:`CacheStats`), and the
 counters flow into ``AMCServer.stats()`` so cache effectiveness is an
@@ -16,11 +22,11 @@ touches it only from the event-loop thread.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.errors import ServingError
-from repro.serving.api import result_nbytes
 
 
 @dataclass
@@ -31,52 +37,59 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     insertions: int = 0
-    #: Results too large to ever fit the byte budget; refused, not
-    #: cached (they would otherwise evict everything and still not fit).
-    oversize_skips: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for ``stats()`` reports)."""
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions,
-                "insertions": self.insertions,
-                "oversize_skips": self.oversize_skips}
+                "insertions": self.insertions}
 
 
-@dataclass(frozen=True)
 class CacheEntry:
-    """One cached job outcome: the result, its size, its profile."""
+    """One cached job outcome: the result, its size, its profile.
 
-    result: object
-    nbytes: int
-    report: object = None
-    #: Bit-identity fingerprint of the result (computed once, at
-    #: insertion, so cache hits do not re-hash the arrays).
-    digest: str | None = None
-    #: How many times this entry has been served (diagnostic only).
-    served: int = 0
+    The result is held strongly until :meth:`release` (eviction), and
+    weakly after: :attr:`result` then reads None once nothing else
+    holds it.
+    """
+
+    __slots__ = ("_strong", "_weak", "nbytes", "report", "digest")
+
+    def __init__(self, result, nbytes: int, report=None,
+                 digest: str | None = None) -> None:
+        self._strong = result
+        self._weak = weakref.ref(result)
+        self.nbytes = int(nbytes)
+        self.report = report
+        #: Bit-identity fingerprint of the result (computed once, at
+        #: insertion, so cache hits do not re-hash the arrays).
+        self.digest = digest
+
+    @property
+    def result(self):
+        """The result, or None once released and collected."""
+        return self._weak() if self._strong is None else self._strong
+
+    def release(self) -> None:
+        """Stop keeping the result alive."""
+        self._strong = None
 
 
 class ResultCache:
-    """LRU mapping ``job_key -> CacheEntry`` under entry/byte budgets.
+    """LRU mapping ``job_key -> CacheEntry`` under a byte budget.
 
     Parameters
     ----------
-    max_entries:
-        Entry-count budget (>= 1).
     max_bytes:
-        Retained-payload budget; results larger than this on their own
-        are refused (counted in ``stats.oversize_skips``).
+        Retained-payload budget.  Insertion evicts least-recently-used
+        entries until the new one fits; the entry just inserted is
+        never evicted, so one result larger than the budget is kept
+        alone until the next insertion.
     """
 
-    def __init__(self, max_entries: int = 64,
-                 max_bytes: int = 256 << 20) -> None:
-        if max_entries < 1:
-            raise ServingError(
-                f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, max_bytes: int = 256 << 20) -> None:
         if max_bytes < 1:
             raise ServingError(f"max_bytes must be >= 1, got {max_bytes}")
-        self.max_entries = int(max_entries)
         self.max_bytes = int(max_bytes)
         self.stats = CacheStats()
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
@@ -104,47 +117,36 @@ class ResultCache:
             return None
         self.stats.hits += 1
         self._entries.move_to_end(key)
-        entry = CacheEntry(entry.result, entry.nbytes, entry.report,
-                           entry.digest, entry.served + 1)
-        self._entries[key] = entry
         return entry
 
     def put(self, key: str, result, report=None,
-            digest: str | None = None,
-            nbytes: int | None = None) -> bool:
-        """Insert a finished result; returns False when refused.
+            digest: str | None = None, *, nbytes: int) -> CacheEntry:
+        """Insert a finished result; returns the entry that holds it.
 
-        A key already present is refreshed in place (content-addressed
-        keys make the payload identical by construction).  Insertion
-        evicts least-recently-used entries until both budgets hold.
-        ``nbytes`` is the result's retained size per its workload's
-        accounting; when omitted it is measured with the default (AMC)
-        rule, which keeps historical call sites working.
+        A key already present keeps its entry, which is refreshed and
+        returned (content-addressed keys make the payload identical by
+        construction).  ``nbytes`` is the result's retained size per
+        its workload's accounting.
         """
-        if nbytes is None:
-            nbytes = result_nbytes(result)
-        if nbytes > self.max_bytes:
-            self.stats.oversize_skips += 1
-            return False
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old.nbytes
-        while self._entries and (
-                len(self._entries) >= self.max_entries
-                or self._bytes + nbytes > self.max_bytes):
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry
+        while self._entries and self._bytes + nbytes > self.max_bytes:
             _, evicted = self._entries.popitem(last=False)
+            evicted.release()
             self._bytes -= evicted.nbytes
             self.stats.evictions += 1
-        self._entries[key] = CacheEntry(result, nbytes, report, digest)
-        self._bytes += nbytes
+        entry = CacheEntry(result, nbytes, report, digest)
+        self._entries[key] = entry
+        self._bytes += entry.nbytes
         self.stats.insertions += 1
-        return True
+        return entry
 
     def as_dict(self) -> dict[str, object]:
         """Counters plus occupancy, for ``AMCServer.stats()``."""
         out: dict[str, object] = dict(self.stats.as_dict())
         out["entries"] = len(self._entries)
         out["bytes"] = self._bytes
-        out["max_entries"] = self.max_entries
         out["max_bytes"] = self.max_bytes
         return out

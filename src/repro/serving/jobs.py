@@ -26,7 +26,6 @@ client sees is an immutable :class:`JobStatus` snapshot (JSON-safe via
 from __future__ import annotations
 
 import asyncio
-import weakref
 from dataclasses import asdict, dataclass
 
 from repro.errors import ServingError
@@ -107,38 +106,17 @@ class JobStatus:
         return asdict(self)
 
 
-class ResultPin:
-    """A finished result as the job records served it hold it: strongly
-    until the server's retention budget calls :meth:`release`, weakly
-    after.  Jobs served the same result object share one pin.  A pin
-    outlives the server that made it, so records read after a shutdown
-    keep the results that were still retained."""
-
-    __slots__ = ("_strong", "_weak")
-
-    def __init__(self, result) -> None:
-        self._strong = result
-        self._weak = weakref.ref(result)
-
-    def get(self):
-        """The result, or None once released and collected."""
-        return self._weak() if self._strong is None else self._strong
-
-    def release(self) -> None:
-        """Stop keeping the result alive."""
-        self._strong = None
-
-
 class Job:
     """The server-side record of one admitted request.
 
     Holds the request payload (cube, params, ground truth), the
     lifecycle state, and — after completion — the per-job
     :class:`~repro.profiling.ProfileReport`, the bit-identity digest,
-    the report accuracy and the result's :class:`ResultPin`.  The
-    server releases the pins of all but the most recent results within
-    its ``cache_bytes`` budget; an older job's :attr:`result` reads None
-    once nothing else holds it, while its :meth:`status` is unchanged.
+    the report accuracy and the
+    :class:`~repro.serving.cache.CacheEntry` it was served.  The entry
+    holds the result only while the server's result cache keeps it;
+    after eviction the job's :attr:`result` reads None once nothing
+    else holds it, while its :meth:`status` is unchanged.
     ``done`` is an :class:`asyncio.Event` waiters block on;
     :meth:`wait_result` also hands the result over.
     """
@@ -157,7 +135,7 @@ class Job:
         self.from_cache = False
         self.coalesced = 0
         self.retries = 0
-        self._pin: ResultPin | None = None
+        self._entry = None           # CacheEntry | None
         #: wait_result() callers still blocked, and the result kept
         #: alive for them once it arrives
         self._result_waiters = 0
@@ -191,17 +169,16 @@ class Job:
         if state in TERMINAL_STATES:
             self.done.set()
 
-    def serve_from_cache(self, entry, pin: ResultPin) -> None:
+    def serve_from_cache(self, entry) -> None:
         """Complete this job from a :class:`~repro.serving.cache.CacheEntry`.
 
         The one sanctioned bypass of :meth:`transition`: a cached key
         means the work already happened, so the job is born terminal
-        without ever being queued or run.  ``pin`` holds
-        ``entry.result``.
+        without ever being queued or run.
         """
         self.state = DONE
         self.from_cache = True
-        self.attach_result(pin)
+        self.attach_result(entry)
         self.report = entry.report
         self.result_sha256 = entry.digest
         self.release_payload()
@@ -210,17 +187,18 @@ class Job:
     @property
     def result(self):
         """The finished result, or None: before completion, for a
-        failed or replayed job, or once the server has released it and
-        nothing else holds it."""
-        return None if self._pin is None else self._pin.get()
+        failed or replayed job, or once the result cache has evicted it
+        and nothing else holds it."""
+        return None if self._entry is None else self._entry.result
 
-    def attach_result(self, pin: ResultPin) -> None:
-        """Record a finished result through its pin, plus the report
-        accuracy :meth:`status` must keep showing after the result is
-        gone.  A blocked :meth:`wait_result` caller keeps the result
-        alive until it wakes, even if the pin is released first."""
-        self._pin = pin
-        result = pin.get()
+    def attach_result(self, entry) -> None:
+        """Record a finished result through its cache entry, plus the
+        report accuracy :meth:`status` must keep showing after the
+        result is gone.  A blocked :meth:`wait_result` caller keeps the
+        result alive until it wakes, even if the entry is evicted
+        first."""
+        self._entry = entry
+        result = entry.result
         if self._result_waiters:
             self._handoff = result
         # not every workload's result carries a classification report
@@ -234,7 +212,7 @@ class Job:
         job that did not end ``done``.
 
         Unlike reading :attr:`result` after awaiting :attr:`done`, this
-        cannot miss a result the server released while the caller was
+        cannot miss a result the cache evicted while the caller was
         waking up: one that arrives while a caller waits is held for it
         until the call returns.
         """
@@ -250,9 +228,8 @@ class Job:
     def release_payload(self) -> None:
         """Drop the request cube once the job is terminal.  The server
         keeps every job record for status queries, but a record holds
-        its result only while the server's ``cache_bytes`` retention
-        budget does, and a retained cube would grow memory with history
-        length."""
+        its result only while the result cache does, and a retained
+        cube would grow memory with history length."""
         self.bip = None
         self.ground_truth = None
 

@@ -56,7 +56,8 @@ OPS = ("submit", "status", "wait", "cancel", "stats", "health",
 
 #: Exception classes a request handler converts into error responses
 #: (anything else is a server bug and should surface loudly).
-_REQUEST_ERRORS = (ReproError, ValueError, KeyError, TypeError, OSError)
+_REQUEST_ERRORS = (ReproError, ValueError, KeyError, TypeError,
+                   OverflowError, OSError)
 
 
 def _error_response(exc: Exception) -> dict:
@@ -128,7 +129,10 @@ class UnixSocketFrontend:
         finally:
             writer.close()
 
-    async def _dispatch(self, payload: dict) -> dict:
+    async def _dispatch(self, payload) -> dict:
+        if not isinstance(payload, dict):
+            raise ReproError(f"a request must be a JSON object, got "
+                             f"{type(payload).__name__}")
         op = payload.get("op")
         if op not in OPS:
             raise ReproError(f"unknown op {op!r}; expected one of {OPS}")
@@ -164,8 +168,8 @@ class UnixSocketFrontend:
             payload.get("target_class"))
         job = await self.server.submit(cube, params, workload=wl,
                                        ground_truth=ground_truth)
-        # wait_result hands the result over before the server's
-        # retention budget can release it
+        # wait_result hands the result over before the result cache
+        # can evict it
         result = (await job.wait_result() if payload.get("wait", True)
                   else job.result)
         outputs = None

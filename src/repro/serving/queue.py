@@ -44,7 +44,6 @@ class AdmissionQueue:
                 f"estimated_job_s must be positive, got {estimated_job_s}")
         self.maxsize = int(maxsize)
         self.estimated_job_s = float(estimated_job_s)
-        self.rejected = 0
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=self.maxsize)
 
     def __len__(self) -> int:
@@ -70,7 +69,6 @@ class AdmissionQueue:
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
-            self.rejected += 1
             hint = self.retry_after_s()
             raise ServerBusyError(
                 f"job queue full ({self.maxsize} waiting); "

@@ -66,8 +66,6 @@ from __future__ import annotations
 
 import asyncio
 import os.path
-import weakref
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from threading import local
@@ -82,7 +80,7 @@ from repro.serving import jobs as jobstates
 from repro.serving.api import job_key, result_digest
 from repro.serving.cache import ResultCache
 from repro.serving.diskcache import DiskCacheTier
-from repro.serving.jobs import Job, JobStatus, ResultPin
+from repro.serving.jobs import Job, JobStatus
 from repro.serving.journal import JobJournal
 from repro.serving.queue import AdmissionQueue
 from repro.serving.watchdog import Heartbeat, Watchdog
@@ -103,14 +101,12 @@ class ServerCounters:
 
     ``submitted`` counts every accepted ``submit`` call;
     ``coalesced`` + ``cache_hits`` + ``disk_cache_hits`` + ``executed``
-    partition it (minus rejections, counted by the queue, and
-    cancellations).  ``executed`` is jobs that reached a pipeline;
-    ``completed``/``failed`` split their outcomes.  ``recovered`` is
-    jobs journal replay re-enqueued after a restart; ``stale_drops``
-    is zombie-attempt outcomes discarded by the generation guard.
-    ``results_released`` counts results the job records stopped
-    keeping alive because newer ones filled the ``cache_bytes``
-    retention budget.
+    partition it (minus cancellations).  ``rejected`` counts
+    submissions refused at admission (not in ``submitted``).
+    ``executed`` is jobs that reached a pipeline; ``completed``/
+    ``failed`` split their outcomes.  ``recovered`` is jobs journal
+    replay re-enqueued after a restart; ``stale_drops`` is
+    zombie-attempt outcomes discarded by the generation guard.
     """
 
     submitted: int = 0
@@ -124,7 +120,6 @@ class ServerCounters:
     cancelled: int = 0
     recovered: int = 0
     stale_drops: int = 0
-    results_released: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for ``stats()`` reports)."""
@@ -135,8 +130,7 @@ class ServerCounters:
                 "executed": self.executed, "completed": self.completed,
                 "failed": self.failed, "cancelled": self.cancelled,
                 "recovered": self.recovered,
-                "stale_drops": self.stale_drops,
-                "results_released": self.results_released}
+                "stale_drops": self.stale_drops}
 
 
 class AMCServer:
@@ -151,13 +145,13 @@ class AMCServer:
     queue_size:
         Admission bound — jobs waiting beyond the running ones before
         submissions are rejected with a retry-after hint.
-    cache_entries / cache_bytes:
-        Result-cache budgets (see
-        :class:`~repro.serving.cache.ResultCache`).  ``cache_bytes``
-        also bounds the results job records keep alive: the most
-        recent terminal results up to that many bytes (and always the
-        newest one, however large) are held strongly, older ones only
-        weakly (``results_released``).
+    cache_bytes:
+        Byte budget of the result cache
+        (:class:`~repro.serving.cache.ResultCache`), the one store that
+        keeps finished results alive: job records reach their results
+        through its entries, so the most recent results up to that many
+        bytes (and always the newest one, however large) are held, and
+        an evicted one lives on only while something else holds it.
     state_dir:
         Directory for the durable tier (write-ahead journal, payload
         spill, disk result cache).  ``None`` (the default) keeps the
@@ -183,7 +177,7 @@ class AMCServer:
     """
 
     def __init__(self, *, workers: int = 2, queue_size: int = 16,
-                 cache_entries: int = 64, cache_bytes: int = 256 << 20,
+                 cache_bytes: int = 256 << 20,
                  state_dir: str | None = None,
                  disk_cache_bytes: int = 1 << 30,
                  watchdog_deadline_s: float | None = None,
@@ -198,8 +192,7 @@ class AMCServer:
         # validate defaults at build time, against the right schema
         self.default_workload.as_config(self.default_params)
         self.counters = ServerCounters()
-        self.cache = ResultCache(max_entries=cache_entries,
-                                 max_bytes=cache_bytes)
+        self.cache = ResultCache(max_bytes=cache_bytes)
         self.queue = AdmissionQueue(maxsize=queue_size,
                                     estimated_job_s=estimated_job_s)
         self.journal: JobJournal | None = None
@@ -218,17 +211,6 @@ class AMCServer:
         self.journal_errors = 0
         self._jobs: dict[int, Job] = {}
         self._inflight: dict[str, Job] = {}
-        #: ``(key, digest) -> result`` for results still alive (retained
-        #: for job records, cached, or held by a caller), so a disk hit
-        #: reuses that object instead of pinning a second copy.  Keyed
-        #: by job key, not digest alone: the digest covers only the
-        #: decision arrays.
-        self._live_results = weakref.WeakValueDictionary()
-        #: ``id(result) -> (pin, nbytes)``: the pins still holding
-        #: their results, oldest first, at most ``cache_bytes`` in all
-        #: unless the newest alone is larger.
-        self._retained: OrderedDict = OrderedDict()
-        self._retained_bytes = 0
         self._next_id = 1
         self._running = False
         self._worker_tasks: list[asyncio.Task] = []
@@ -354,27 +336,20 @@ class AMCServer:
         entry = self.cache.get(key)
         if entry is not None:
             job = self._new_job(key, bip=None, config=config, workload=wl)
-            job.serve_from_cache(
-                entry, self._retain(entry.result, entry.nbytes))
+            job.serve_from_cache(entry)
             self.counters.submitted += 1
             self.counters.cache_hits += 1
             return job
 
         if self.disk_cache is not None:
-            entry = self.disk_cache.get(key)
-            if entry is not None:
-                live = self._live_results.get((key, entry.digest))
-                if live is None:
-                    self._live_results[key, entry.digest] = entry.result
-                else:
-                    entry = replace(entry, result=live)
+            loaded = self.disk_cache.get(key)
+            if loaded is not None:
                 # promote into the memory tier so the next hit is hot
-                self.cache.put(key, entry.result, entry.report,
-                               entry.digest, nbytes=entry.nbytes)
+                entry = self.cache.put(key, loaded.result, loaded.report,
+                                       loaded.digest, nbytes=loaded.nbytes)
                 job = self._new_job(key, bip=None, config=config,
                                     workload=wl)
-                job.serve_from_cache(
-                    entry, self._retain(entry.result, entry.nbytes))
+                job.serve_from_cache(entry)
                 self.counters.submitted += 1
                 self.counters.disk_cache_hits += 1
                 return job
@@ -435,7 +410,6 @@ class AMCServer:
             "pipeline_runs": self.pipeline_runs,
             "counters": self.counters.as_dict(),
             "cache": self.cache.as_dict(),
-            "retained": self._retained_stats(),
         }
 
     def health(self) -> dict:
@@ -459,7 +433,7 @@ class AMCServer:
             "workers": self.workers,
             "queue": {"depth": self.queue.depth,
                       "maxsize": self.queue.maxsize,
-                      "rejected": self.queue.rejected,
+                      "rejected": self.counters.rejected,
                       "retry_after_s": self.queue.retry_after_s()},
             "journal": (None if self.journal is None
                         else dict(self.journal.stats(),
@@ -471,7 +445,6 @@ class AMCServer:
                          if self.watchdog is not None
                          else {"enabled": False}),
             "running_jobs": running_jobs,
-            "retained": self._retained_stats(),
             "pipeline_runs": self.pipeline_runs,
             "counters": self.counters.as_dict(),
         }
@@ -486,35 +459,6 @@ class AMCServer:
         self._jobs[job.job_id] = job
         self._next_id += 1
         return job
-
-    def _retain(self, result, nbytes: int) -> ResultPin:
-        """The pin a job holds ``result`` by, now the most recent
-        terminal result; release the oldest pins past ``cache_bytes``,
-        never the newest.
-
-        A released result lives on only while something else (the
-        memory cache, a caller) holds it.  Jobs served the same result
-        object (cache hits) share its pin, so it counts once.
-        """
-        slot = id(result)      # unique while the pin holds result
-        held = self._retained.pop(slot, None)
-        if held is None:
-            held = (ResultPin(result), int(nbytes))
-            self._retained_bytes += held[1]
-        self._retained[slot] = held
-        while (self._retained_bytes > self.cache.max_bytes
-               and len(self._retained) > 1):
-            _, (pin, released) = self._retained.popitem(last=False)
-            pin.release()
-            self._retained_bytes -= released
-            self.counters.results_released += 1
-        return held[0]
-
-    def _retained_stats(self) -> dict[str, int]:
-        """Occupancy of the result-retention budget."""
-        return {"results": len(self._retained),
-                "bytes": self._retained_bytes,
-                "max_bytes": self.cache.max_bytes}
 
     def _job(self, job_id: int) -> Job:
         job = self._jobs.get(job_id)
@@ -675,7 +619,7 @@ class AMCServer:
                 self._journal_safe(jobstates.RUNNING, job)
                 self.counters.executed += 1
                 # no local keeps the outcome, or this loop would keep
-                # a released result alive until its next job finished
+                # an evicted result alive until its next job finished
                 self._finish(job, generation, *await loop.run_in_executor(
                     self._executor, self._execute, job, generation))
             finally:
@@ -700,12 +644,11 @@ class AMCServer:
         if error is None:
             job.result_sha256 = result_digest(result, workload=job.workload)
             nbytes = job.workload.result_nbytes(result)
-            job.attach_result(self._retain(result, nbytes))
+            job.attach_result(self.cache.put(
+                job.key, result, report, job.result_sha256,
+                nbytes=nbytes))
             job.transition(jobstates.DONE)
             self.counters.completed += 1
-            self._live_results[job.key, job.result_sha256] = result
-            self.cache.put(job.key, result, report, job.result_sha256,
-                           nbytes=nbytes)
             self._journal_safe(jobstates.DONE, job,
                                digest=job.result_sha256)
             if self.disk_cache is not None:

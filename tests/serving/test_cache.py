@@ -10,6 +10,7 @@ parameter change separates keys) and the LRU/budget behaviour of
 
 from __future__ import annotations
 
+import gc
 from types import SimpleNamespace
 
 import numpy as np
@@ -83,10 +84,14 @@ class TestCanonicalization:
             canonical_params({"no_such_field": 1})
 
 
-def _result(payload_bytes: int) -> SimpleNamespace:
+class _Result(SimpleNamespace):
+    """SimpleNamespace that cache entries can reference weakly."""
+
+
+def _result(payload_bytes: int) -> _Result:
     """An AMCResult-shaped stub whose retained size is controllable."""
     one = np.zeros(1, dtype=np.uint8)
-    return SimpleNamespace(
+    return _Result(
         mei=np.zeros(payload_bytes, dtype=np.uint8),
         erosion_index=one, dilation_index=one, abundances=one,
         labels=one,
@@ -94,50 +99,75 @@ def _result(payload_bytes: int) -> SimpleNamespace:
         endmember_labels=None)
 
 
-class TestResultCache:
-    def test_hit_miss_and_served_counters(self):
-        cache = ResultCache(max_entries=4, max_bytes=1 << 20)
-        assert cache.get("k") is None
-        assert cache.put("k", _result(10), digest="d")
-        entry = cache.get("k")
-        assert entry is not None and entry.digest == "d"
-        assert cache.get("k").served == 2
-        assert cache.stats.as_dict() == {
-            "hits": 2, "misses": 1, "evictions": 0,
-            "insertions": 1, "oversize_skips": 0}
+def _put(cache, key, payload_bytes, **kwargs):
+    result = _result(payload_bytes)
+    return cache.put(key, result, nbytes=result_nbytes(result), **kwargs)
 
-    def test_entry_budget_evicts_lru(self):
-        cache = ResultCache(max_entries=2, max_bytes=1 << 20)
-        cache.put("a", _result(10))
-        cache.put("b", _result(10))
+
+class TestResultCache:
+    def test_hit_miss_counters_share_one_entry(self):
+        cache = ResultCache(max_bytes=1 << 20)
+        assert cache.get("k") is None
+        entry = _put(cache, "k", 10, digest="d")
+        assert entry.digest == "d" and entry.nbytes == 16
+        assert cache.get("k") is entry
+        assert cache.get("k") is entry      # hits copy nothing
+        assert cache.stats.as_dict() == {
+            "hits": 2, "misses": 1, "evictions": 0, "insertions": 1}
+
+    def test_byte_budget_evicts_lru(self):
+        cache = ResultCache(max_bytes=40)
+        _put(cache, "a", 10)
+        _put(cache, "b", 10)
         cache.get("a")                      # refresh: b is now LRU
-        cache.put("c", _result(10))
+        _put(cache, "c", 10)
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.stats.evictions == 1
+        assert cache.current_bytes == 32
 
     def test_byte_budget_evicts_until_it_fits(self):
         # each _result(n) retains n + 6 bytes (six 1-byte side arrays)
-        cache = ResultCache(max_entries=16, max_bytes=140)
-        cache.put("a", _result(50))
-        cache.put("b", _result(50))
-        cache.put("c", _result(100))        # must evict both
+        cache = ResultCache(max_bytes=140)
+        _put(cache, "a", 50)
+        _put(cache, "b", 50)
+        _put(cache, "c", 100)               # must evict both
         assert len(cache) == 1 and "c" in cache
         assert cache.stats.evictions == 2
         assert cache.current_bytes == 106
 
-    def test_oversize_results_are_refused(self):
-        cache = ResultCache(max_entries=4, max_bytes=64)
-        assert not cache.put("huge", _result(1000))
-        assert len(cache) == 0
-        assert cache.stats.oversize_skips == 1
+    def test_the_newest_entry_is_kept_however_large(self):
+        cache = ResultCache(max_bytes=64)
+        small = _put(cache, "small", 10)
+        huge = _put(cache, "huge", 1000)
+        assert list(cache.as_dict()[k] for k in ("entries", "bytes")) == [
+            1, 1006]
+        assert "huge" in cache and huge.result is not None
+        _put(cache, "next", 10)             # the next insertion evicts it
+        assert "huge" not in cache and cache.current_bytes == 16
+        assert cache.stats.evictions == 2
+        gc.collect()
+        assert small.result is None and huge.result is None
+
+    def test_evicted_entries_hold_their_result_weakly(self):
+        cache = ResultCache(max_bytes=20)
+        kept = _result(10)
+        entry = cache.put("a", kept, nbytes=16)
+        _put(cache, "b", 10)
+        assert "a" not in cache
+        assert entry.result is kept         # alive while the caller holds it
+        del kept
+        gc.collect()
+        assert entry.result is None
 
     def test_reinsert_refreshes_in_place(self):
-        cache = ResultCache(max_entries=4, max_bytes=1 << 20)
-        cache.put("k", _result(10))
-        cache.put("k", _result(10))
-        assert len(cache) == 1
+        cache = ResultCache(max_bytes=40)
+        first = _put(cache, "k", 10)
+        _put(cache, "other", 10)
+        assert _put(cache, "k", 10) is first
+        assert len(cache) == 2 and cache.current_bytes == 32
         assert cache.stats.insertions == 2
-        assert cache.stats.evictions == 0
+        _put(cache, "new", 10)              # "other" is now LRU
+        assert "k" in cache and "other" not in cache
 
     def test_result_nbytes_counts_array_payloads(self):
         assert result_nbytes(_result(100)) == 100 + 6

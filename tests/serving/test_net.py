@@ -9,7 +9,9 @@ so the tests drive it through ``run_in_executor`` against an in-process
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -109,6 +111,45 @@ class TestProtocol:
         assert missing_job["error"] == "JobNotFoundError"
         assert bad_params["error"] == "TypeError"
         assert not missing_cube["ok"]
+
+    def test_non_object_requests_are_answered_on_the_same_connection(
+            self, tmp_path):
+        """Valid JSON that is not an object, or whose job id does not
+        fit an integer, gets an error response, and the connection
+        stays open for the next request."""
+        sock = str(tmp_path / "amc.sock")
+
+        def exchange():
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+                conn.settimeout(10.0)
+                conn.connect(sock)
+                reader = conn.makefile("rb")
+                answers = []
+                for line in (b"[1, 2]", b'"stats"', b"7",
+                             b'{"op": "status", "job_id": 1e400}',
+                             b'{"op": "stats"}'):
+                    conn.sendall(line + b"\n")
+                    answers.append(json.loads(reader.readline()))
+                return answers
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with AMCServer(workers=1) as server:
+                frontend = UnixSocketFrontend(server, sock)
+                await frontend.start()
+                try:
+                    return await loop.run_in_executor(None, exchange)
+                finally:
+                    await frontend.stop()
+
+        *refused, overflow, stats = asyncio.run(scenario())
+        for response, kind in zip(refused, ("list", "str", "int")):
+            assert response["ok"] is False
+            assert response["error"] == "ReproError"
+            assert kind in response["message"]
+        assert overflow["ok"] is False
+        assert overflow["error"] == "OverflowError"
+        assert stats["ok"] and "counters" in stats["stats"]
 
     def test_health_reports_every_subsystem(self, scene_path, tmp_path):
         server, (submit, health) = _roundtrip(scene_path, tmp_path, [
@@ -210,7 +251,7 @@ class TestWorkloadRequests:
 
     def test_write_outputs_under_a_tiny_cache_budget(self, scene_path,
                                                      tmp_path):
-        """Results larger than ``cache_bytes`` are released once newer
+        """Results larger than ``cache_bytes`` are evicted once newer
         ones complete, yet every submit still writes its outputs."""
         server, responses = _roundtrip(scene_path, tmp_path, [
             {"op": "submit", "cube": scene_path,
@@ -220,7 +261,7 @@ class TestWorkloadRequests:
             assert response["ok"]
             assert os.path.exists(response["outputs"]["mei"])
             assert os.path.exists(response["outputs"]["classes"])
-        assert server.counters.results_released == 2
+        assert server.cache.stats.evictions == 2
 
     def test_write_outputs_without_a_result_is_an_error(
             self, scene_path, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from repro import faults
 from repro.core import AMCConfig, run_amc
 from repro.errors import JobNotFoundError, ServerBusyError, ServerClosedError
 from repro.faults import FaultInjector, FaultSpec
-from repro.serving import AMCServer, durable, result_digest
+from repro.serving import AMCServer, CacheEntry, durable, result_digest
 from repro.serving import jobs as jobstates
 from repro.workloads import get_workload
 
@@ -180,7 +180,7 @@ class TestBackpressureAndCancel:
 
         server = asyncio.run(scenario())
         assert server.counters.rejected == 1
-        assert server.queue.rejected == 1
+        assert server.health()["queue"]["rejected"] == 1
 
     def test_queued_job_can_be_cancelled(self, small_cube):
         faults.install(FaultInjector([
@@ -252,7 +252,9 @@ class TestBackpressureAndCancel:
 
 
 class TestResultRetention:
-    """Job records keep results alive only within ``cache_bytes``."""
+    """The result cache is the one store that keeps results alive: job
+    records reach their results through its entries, within
+    ``cache_bytes``."""
 
     @staticmethod
     def _cubes(small_cube, n):
@@ -264,8 +266,7 @@ class TestResultRetention:
         budget = int(2.5 * nbytes)           # room for two results
 
         async def scenario():
-            async with AMCServer(workers=1, cache_entries=1,
-                                 cache_bytes=budget) as server:
+            async with AMCServer(workers=1, cache_bytes=budget) as server:
                 done = []
                 for cube in self._cubes(small_cube, 4):
                     job = await server.submit(cube, PARAMS)
@@ -279,12 +280,13 @@ class TestResultRetention:
         pinned = sum(get_workload("amc").result_nbytes(r)
                      for r in live.values())
         assert pinned <= budget
-        assert server.counters.results_released == 2
-        assert server.stats()["retained"] == {
-            "results": 2, "bytes": 2 * nbytes, "max_bytes": budget}
-        assert server.health()["counters"]["results_released"] == 2
+        assert server.cache.current_bytes == pinned == 2 * nbytes
+        memory = server.cache.as_dict()
+        assert (memory["entries"], memory["bytes"], memory["max_bytes"],
+                memory["evictions"]) == (2, 2 * nbytes, budget, 2)
+        assert server.health()["cache"]["memory"] == memory
         for status in done[:2]:
-            # released, yet the status a client sees is unchanged
+            # evicted, yet the status a client sees is unchanged
             assert server.job(status.job_id).result is None
             assert server.status(status.job_id) == status
             assert status.result_sha256
@@ -294,7 +296,7 @@ class TestResultRetention:
 
     def test_the_newest_result_is_kept_however_large(self, small_cube):
         """A result larger than ``cache_bytes`` stays until a newer one
-        completes; its accuracy survives the release."""
+        completes; its accuracy survives the eviction."""
         gt = (np.arange(small_cube.shape[0] * small_cube.shape[1])
               .reshape(small_cube.shape[:2]) % 3 + 1)
 
@@ -314,14 +316,14 @@ class TestResultRetention:
         assert kept
         assert server.job(status.job_id).result is None
         assert second.result is not None
-        assert server.counters.results_released == 1
-        assert server.stats()["retained"]["results"] == 1
+        assert server.cache.stats.evictions == 1
+        assert len(server.cache) == 1
         assert status.overall_accuracy is not None
         assert server.status(status.job_id) == status
 
     def test_waiters_are_handed_released_results(self, small_cube):
         """Two workers finish jobs while their waiters are still
-        waking; a budget of one byte releases each result as the next
+        waking; a budget of one byte evicts each result as the next
         completes, yet every ``wait_result`` caller gets its own."""
         async def scenario():
             async with AMCServer(workers=2, cache_bytes=1) as server:
@@ -333,14 +335,14 @@ class TestResultRetention:
                 return server, jobs, await asyncio.gather(*waiters)
 
         server, jobs, results = asyncio.run(scenario())
-        assert server.counters.results_released == 3
+        assert server.cache.stats.evictions == 3
         for job, result in zip(jobs, results):
             assert result_digest(result) == job.result_sha256
 
     def test_records_keep_retained_results_after_shutdown(self,
                                                           small_cube):
         """A record read after its server is stopped and dropped still
-        has the result that was retained when the server went away."""
+        has the result that was cached when the server went away."""
         async def scenario():
             async with AMCServer(workers=1) as server:
                 job = await server.submit(small_cube, PARAMS)
@@ -363,10 +365,10 @@ class TestResultRetention:
             waiter = asyncio.ensure_future(job.wait_result())
             await asyncio.sleep(0)            # the waiter is blocked
             job.transition(jobstates.RUNNING)
-            pin = jobstates.ResultPin(Result())
-            job.attach_result(pin)
+            entry = CacheEntry(Result(), nbytes=1)
+            job.attach_result(entry)
             job.transition(jobstates.DONE)
-            pin.release()             # a newer result filled the budget
+            entry.release()          # a newer result evicted the entry
             gc.collect()
             return job, type(await waiter)
 
@@ -387,43 +389,68 @@ class TestResultRetention:
 
         server, jobs = asyncio.run(scenario())
         assert jobs[1].from_cache and jobs[2].from_cache
-        assert server.stats()["retained"]["results"] == 1
+        memory = server.cache.as_dict()
+        assert (memory["entries"], memory["insertions"],
+                memory["hits"]) == (1, 1, 2)
         assert jobs[0].result is jobs[2].result is not None
 
     def test_not_bounded_by_cache_entries(self, small_cube):
-        """Small results outlive their memory-cache entries: the
-        retention budget is bytes, not entries."""
+        """The budget is bytes, not entries: 65 small results all stay
+        cached, and the first is still a memory hit."""
         async def scenario():
-            async with AMCServer(workers=1, cache_entries=1) as server:
+            async with AMCServer(workers=1) as server:
                 jobs = []
-                for cube in self._cubes(small_cube, 3):
+                for cube in self._cubes(small_cube, 65):
                     job = await server.submit(cube, PARAMS)
                     await server.wait(job.job_id)
                     jobs.append(job)
-                return server, jobs
+                again = await server.submit(small_cube, PARAMS)
+                return server, jobs, again
 
-        server, jobs = asyncio.run(scenario())
+        server, jobs, again = asyncio.run(scenario())
         gc.collect()
-        assert server.cache.stats.evictions == 2
-        assert server.counters.results_released == 0
+        assert again.from_cache and server.counters.cache_hits == 1
+        assert server.pipeline_runs == 65
+        assert server.cache.stats.evictions == 0
         assert all(job.result is not None for job in jobs)
 
 
 class TestDiskHitDedup:
-    """A disk hit reuses the result object a live job record already
-    holds for the same key, instead of pinning a second copy."""
+    """The disk tier serves keys the memory tier has evicted, and only
+    those: a result still cached is never reloaded from disk."""
+
+    def test_a_cached_result_is_never_a_disk_hit(self, small_cube,
+                                                  tmp_path):
+        """65 distinct results under the default budgets all stay in
+        memory, so resubmitting the first one reads no disk entry."""
+        async def scenario():
+            async with AMCServer(workers=1,
+                                 state_dir=str(tmp_path / "state")) as server:
+                for i in range(65):
+                    job = await server.submit(small_cube + 0.01 * i, PARAMS)
+                    await server.wait(job.job_id)
+                before = server.counters.cache_hits
+                again = await server.submit(small_cube, PARAMS)
+                return server, before, again
+
+        server, before, again = asyncio.run(scenario())
+        assert again.from_cache
+        assert server.counters.cache_hits == before + 1
+        assert server.counters.disk_cache_hits == 0
+        assert server.disk_cache.stats.hits == 0
+        assert server.pipeline_runs == 65
 
     def test_disk_hits_on_one_key_share_one_result(self, small_cube,
                                                    tmp_path):
         other = {"n_classes": 2}
 
         async def scenario():
-            async with AMCServer(workers=1, cache_entries=1,
+            async with AMCServer(workers=1, cache_bytes=1,
                                  state_dir=str(tmp_path / "state")) as server:
                 ran = await server.submit(small_cube, PARAMS)
                 await server.wait(ran.job_id)
                 # each submission of the other key evicts PARAMS from
-                # the one-entry memory tier
+                # the one-result memory tier
                 await server.wait((await server.submit(small_cube,
                                                        other)).job_id)
                 a = await server.submit(small_cube, PARAMS)
@@ -433,10 +460,10 @@ class TestDiskHitDedup:
 
         server, ran, a, b = asyncio.run(scenario())
         assert server.counters.disk_cache_hits == 3
-        # every disk hit still loaded and verified its entry
+        # every disk hit loaded and verified its entry
         assert server.disk_cache.stats.hits == 3
-        assert server.job(a.job_id).result is server.job(b.job_id).result
-        assert a.result is ran.result
+        assert a.from_cache and b.from_cache
+        assert a.result_sha256 == b.result_sha256 == ran.result_sha256
         assert server.pipeline_runs == 2
 
     def test_restarted_server_first_disk_hit_loads_and_verifies(
@@ -452,12 +479,13 @@ class TestDiskHitDedup:
         key, digest = asyncio.run(first_life())
 
         async def second_life():
-            async with AMCServer(workers=1, cache_entries=1,
+            async with AMCServer(workers=1, cache_bytes=1,
                                  state_dir=state) as server:
                 hit = await server.submit(small_cube, PARAMS)
                 assert server.disk_cache.stats.hits == 1
-                # evict it from memory, then damage the entry: the live
-                # copy must not stand in for a failed verification
+                loaded = result_digest(hit.result)
+                # evict it from memory, then damage the entry: a failed
+                # verification is a miss, never a hit
                 await server.wait((await server.submit(
                     small_cube, {"n_classes": 2})).job_id)
                 path = os.path.join(server.disk_cache.directory,
@@ -468,11 +496,11 @@ class TestDiskHitDedup:
                     fh.write(data[: len(data) - 64])
                 rerun = await server.submit(small_cube, PARAMS)
                 await server.wait(rerun.job_id)
-                return server, hit, rerun
+                return server, hit, loaded, rerun
 
-        server, hit, rerun = asyncio.run(second_life())
+        server, hit, loaded, rerun = asyncio.run(second_life())
         assert hit.from_cache and hit.result_sha256 == digest
-        assert result_digest(hit.result) == digest
+        assert loaded == digest
         assert server.disk_cache.stats.quarantined == 1
         assert not rerun.from_cache
         assert rerun.result_sha256 == digest
@@ -488,24 +516,26 @@ class TestDiskHitDedup:
         xyz = {"ground_truth": gt, "class_names": ("x", "y", "z")}
 
         async def scenario():
-            async with AMCServer(workers=1, cache_entries=1,
+            async with AMCServer(workers=1, cache_bytes=1,
                                  state_dir=str(tmp_path / "state")) as server:
                 ran_abc = await server.submit(small_cube, PARAMS, **abc)
                 await server.wait(ran_abc.job_id)
                 ran_xyz = await server.submit(small_cube, PARAMS, **xyz)
                 await server.wait(ran_xyz.job_id)
+                # read each hit's names before the next one evicts it
                 hit_abc = await server.submit(small_cube, PARAMS, **abc)
+                names_abc = hit_abc.result.report.class_names
                 hit_xyz = await server.submit(small_cube, PARAMS, **xyz)
-                return server, ran_abc, ran_xyz, hit_abc, hit_xyz
+                names_xyz = hit_xyz.result.report.class_names
+                return server, ran_abc, ran_xyz, names_abc, names_xyz
 
-        server, ran_abc, ran_xyz, hit_abc, hit_xyz = asyncio.run(scenario())
+        server, ran_abc, ran_xyz, names_abc, names_xyz = asyncio.run(
+            scenario())
         assert server.counters.disk_cache_hits == 2
         assert ran_abc.key != ran_xyz.key
         assert ran_abc.result_sha256 == ran_xyz.result_sha256
-        assert hit_abc.result is ran_abc.result
-        assert hit_xyz.result is ran_xyz.result
-        assert hit_abc.result.report.class_names == ("a", "b", "c")
-        assert hit_xyz.result.report.class_names == ("x", "y", "z")
+        assert names_abc == ("a", "b", "c")
+        assert names_xyz == ("x", "y", "z")
 
 
 class TestDurabilityFaults:

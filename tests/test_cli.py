@@ -261,7 +261,8 @@ class TestServingCommands:
         args = build_parser().parse_args(["serve"])
         assert args.socket == "/tmp/repro-amc.sock"
         assert args.workers == 2 and args.queue_size == 16
-        assert args.cache_entries == 64 and args.cache_mb == 256
+        assert args.cache_mb == 256
+        assert not hasattr(args, "cache_entries")
 
     def test_submit_parser_defaults(self):
         args = build_parser().parse_args(["submit", "x.raw"])
