@@ -34,13 +34,16 @@ def test_fig5_imagery(benchmark, report, table3_scene, results_dir):
 
     wavelength = scene.bands.centers_nm[index]
     present = np.unique(scene.ground_truth)
+    # paths relative to the results directory, so the report does not
+    # depend on where the repository is checked out
     text = (
         "Figure 5 — scene imagery (synthetic Indian-Pines-like scene)\n"
         "============================================================\n"
-        f"(a) band {index} at {wavelength:.0f} nm -> {band_path}\n"
+        f"(a) band {index} at {wavelength:.0f} nm -> "
+        f"{os.path.relpath(band_path, results_dir)}\n"
         + render_ascii(band, max_width=64, max_height=20)
         + f"\n\n(b) ground truth, {present.size} classes present -> "
-        f"{gt_path}\n"
+        f"{os.path.relpath(gt_path, results_dir)}\n"
         + render_ascii(scene.ground_truth, max_width=64, max_height=20,
                        labels=True))
     report("fig5_imagery", text)

@@ -109,6 +109,22 @@ def _write_outputs(result, path: str) -> None:
               f"(kappa {result.report.kappa:.3f})")
 
 
+def _knob_params(args: argparse.Namespace, *, workers: bool = True
+                 ) -> dict:
+    """The execution-knob params of a command's parsed flags.
+
+    ``workers=False`` is for ``serve``/``submit``, whose ``--workers``
+    (if any) is not a knob.  ``--workers 0`` (all cores) resolves here.
+    """
+    params = {"max_retries": args.retries,
+              "chunk_timeout_s": args.chunk_timeout_s}
+    if workers:
+        from repro.parallel import resolve_workers
+
+        params["n_workers"] = resolve_workers(args.workers)
+    return params
+
+
 def _classify_batch(args: argparse.Namespace, config) -> int:
     """Batch mode of ``classify``: many cubes through one pool."""
     from repro.pipeline import BatchItemError, run_amc_batch
@@ -145,13 +161,9 @@ def _classify_batch(args: argparse.Namespace, config) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.backends import get_backend
     from repro.core import AMCConfig, run_amc
-    from repro.parallel import resolve_workers
 
-    workers = resolve_workers(args.workers)
     config = AMCConfig(n_classes=args.classes, se_radius=args.radius,
-                       backend=args.backend, n_workers=workers,
-                       max_retries=args.retries,
-                       chunk_timeout_s=args.chunk_timeout_s)
+                       backend=args.backend, **_knob_params(args))
     if len(args.path) > 1:
         if args.trace:
             print("--trace requires a single cube path",
@@ -179,7 +191,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         profiler = Profiler(meta={"image": f"{cube.lines}x{cube.samples}x"
                                            f"{cube.bands}",
                                   "backend": args.backend,
-                                  "workers": workers})
+                                  "workers": config.n_workers})
     result = run_amc(cube, config, ground_truth=ground_truth,
                      profiler=profiler)
     if args.trace:
@@ -214,16 +226,12 @@ def _print_profile(profiler, destination) -> None:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     """Run a detection workload (SAM/CEM/RX) on an ENVI cube."""
-    from repro.parallel import resolve_workers
     from repro.viz import write_pgm
     from repro.workloads import get_workload
 
     cube, ground_truth = _load_scene(args.path)
     wl = get_workload(args.algo)
-    workers = resolve_workers(args.workers)
-    params: dict = {"regularization": args.regularization,
-                    "n_workers": workers, "max_retries": args.retries,
-                    "chunk_timeout_s": args.chunk_timeout_s}
+    params = {"regularization": args.regularization, **_knob_params(args)}
     if args.max_alarms is not None:
         params["max_alarms"] = args.max_alarms
     mask = None
@@ -251,7 +259,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
         profiler = Profiler(meta={
             "image": f"{cube.lines}x{cube.samples}x{cube.bands}",
-            "workload": wl.name, "workers": workers})
+            "workload": wl.name, "workers": params["n_workers"]})
     result = wl.run(cube, params, ground_truth=mask, profiler=profiler)
     scores_path = write_pgm(result.scores, f"{args.path}.{wl.name}.pgm")
     print(f"score map:          {scores_path}")
@@ -267,23 +275,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     """Run a band-reduction workload (PCA) on an ENVI cube."""
-    from repro.parallel import resolve_workers
     from repro.viz import write_pgm
     from repro.workloads import get_workload
 
     cube, _ = _load_scene(args.path)
     wl = get_workload(args.algo)
-    workers = resolve_workers(args.workers)
-    params = {"n_components": args.components, "n_workers": workers,
-              "max_retries": args.retries,
-              "chunk_timeout_s": args.chunk_timeout_s}
+    params = {"n_components": args.components, **_knob_params(args)}
     profiler = None
     if args.profile is not None:
         from repro.profiling import Profiler
 
         profiler = Profiler(meta={
             "image": f"{cube.lines}x{cube.samples}x{cube.bands}",
-            "workload": wl.name, "workers": workers})
+            "workload": wl.name, "workers": params["n_workers"]})
     result = wl.run(cube, params, profiler=profiler)
     out_path = f"{args.path}.{wl.name}.npy"
     np.save(out_path, result.transformed)
@@ -310,9 +314,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     default_params = {"n_classes": args.classes, "se_radius": args.radius,
                       "backend": args.backend,
-                      "max_retries": args.retries,
-                      "chunk_timeout_s": args.chunk_timeout_s,
-                      "n_workers": args.job_workers}
+                      "n_workers": args.job_workers,
+                      **_knob_params(args, workers=False)}
 
     async def _serve() -> None:
         server = AMCServer(workers=args.workers,
@@ -379,8 +382,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     params = {"n_classes": args.classes, "se_radius": args.radius,
-              "backend": args.backend, "max_retries": args.retries,
-              "chunk_timeout_s": args.chunk_timeout_s}
+              "backend": args.backend, **_knob_params(args, workers=False)}
     payload = {
         "op": "submit", "cube": args.path, "params": params,
         "wait": not args.no_wait, "profile": args.profile,
@@ -488,6 +490,31 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     from repro.backends import backend_names
+    from repro.workloads import workload_names
+
+    def add_knob_flags(cmd, *, workers: bool = True) -> None:
+        """The execution knobs (read back by :func:`_knob_params`);
+        ``workers=False`` where ``--workers`` is not a knob."""
+        if workers:
+            cmd.add_argument("--workers", type=int, default=1, metavar="N",
+                             help="worker processes for the chunk-"
+                                  "parallel stage (0 = all cores; results "
+                                  "are identical to serial)")
+        cmd.add_argument("--retries", type=int, default=0, metavar="N",
+                         help="extra attempts per chunk before the run "
+                              "fails (chunk independence makes retries "
+                              "bit-identical)")
+        cmd.add_argument("--chunk-timeout-s", type=float, default=None,
+                         metavar="S",
+                         help="per-chunk deadline when collecting pool "
+                              "results; needed to detect crashed workers "
+                              "(lost chunks are recomputed in-process)")
+
+    def add_profile_flag(cmd) -> None:
+        cmd.add_argument("--profile", nargs="?", const="-", default=None,
+                         metavar="PATH",
+                         help="emit a stage/chunk timing report: text "
+                              "to stdout, or JSON to PATH when given")
 
     cls = sub.add_parser("classify", help="run AMC on an ENVI cube")
     cls.add_argument("path", nargs="+",
@@ -500,48 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--trace", metavar="PATH", default=None,
                      help="with --backend gpu: write a Chrome-trace "
                           "timeline of the device work to PATH")
-    cls.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="worker processes for the chunk-parallel "
-                          "morphological stage (0 = all cores; results "
-                          "are identical to serial)")
-    cls.add_argument("--profile", nargs="?", const="-", default=None,
-                     metavar="PATH",
-                     help="emit a stage/chunk timing report: text to "
-                          "stdout, or JSON to PATH when given")
-    cls.add_argument("--retries", type=int, default=0, metavar="N",
-                     help="extra attempts per chunk before the run "
-                          "fails (chunk independence makes retries "
-                          "bit-identical)")
-    cls.add_argument("--chunk-timeout-s", type=float, default=None,
-                     metavar="S",
-                     help="per-chunk deadline when collecting pool "
-                          "results; needed to detect crashed workers "
-                          "(lost chunks are recomputed in-process)")
+    add_knob_flags(cls)
+    add_profile_flag(cls)
     cls.add_argument("--on-error", choices=("raise", "skip", "collect"),
                      default="raise",
                      help="batch mode: what one failing cube does — "
                           "abort the batch, skip the cube, or report "
                           "it alongside the successes")
     cls.set_defaults(func=_cmd_classify)
-
-    from repro.workloads import workload_names
-
-    def add_execution_flags(cmd) -> None:
-        """The shared chunk-parallel execution knobs."""
-        cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="worker processes for the chunk-parallel "
-                              "stage (0 = all cores; results are "
-                              "identical to serial)")
-        cmd.add_argument("--retries", type=int, default=0, metavar="N",
-                         help="extra attempts per chunk before the run "
-                              "fails")
-        cmd.add_argument("--chunk-timeout-s", type=float, default=None,
-                         metavar="S", help="per-chunk deadline when "
-                                           "collecting pool results")
-        cmd.add_argument("--profile", nargs="?", const="-", default=None,
-                         metavar="PATH",
-                         help="emit a stage/chunk timing report: text "
-                              "to stdout, or JSON to PATH when given")
 
     det = sub.add_parser(
         "detect", help="run a detection workload on an ENVI cube")
@@ -561,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--max-alarms", type=int, default=None, metavar="N",
                      help="detection-curve horizon (default: 10%% of "
                           "the scene)")
-    add_execution_flags(det)
+    add_knob_flags(det)
+    add_profile_flag(det)
     det.set_defaults(func=_cmd_detect)
 
     red = sub.add_parser(
@@ -572,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="registered reduction workload")
     red.add_argument("--components", type=int, default=3, metavar="K",
                      help="number of leading components to keep")
-    add_execution_flags(red)
+    add_knob_flags(red)
+    add_profile_flag(red)
     red.set_defaults(func=_cmd_reduce)
 
     def add_param_flags(cmd) -> None:
@@ -581,11 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--radius", type=int, default=1)
         cmd.add_argument("--backend", choices=backend_names(),
                          default="reference")
-        cmd.add_argument("--retries", type=int, default=0, metavar="N",
-                         help="per-chunk retry budget of each job")
-        cmd.add_argument("--chunk-timeout-s", type=float, default=None,
-                         metavar="S",
-                         help="per-chunk deadline of each job")
+        add_knob_flags(cmd, workers=False)
 
     srv = sub.add_parser(
         "serve", help="run the AMC job server on a unix socket")

@@ -36,12 +36,17 @@ from repro.errors import ShapeError, ValidationError
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
 from repro.hsi.cube import HyperCube
 from repro.profiling.profiler import Profiler
+from repro.resilience import ExecutionKnobs
 
 
 @dataclass(frozen=True)
-class AMCConfig:
+class AMCConfig(ExecutionKnobs):
     """Inputs of the AMC algorithm (paper: f, B, c) plus implementation
     knobs.
+
+    The inherited execution knobs drive the morphological stage (the
+    runtime-dominant one); with the "gpu" backend each chunk worker
+    simulates its own board and the accounting is summed.
 
     Attributes
     ----------
@@ -94,25 +99,9 @@ class AMCConfig:
     #: algorithm.  Implies unconstrained LSU and no classify-time
     #: smoothing (the device path has neither).
     gpu_unmixing: bool = False
-    #: Worker processes for the morphological stage (the runtime-dominant
-    #: stage).  1 = serial (the default); N > 1 splits the image into
-    #: halo-carrying line chunks executed by a process pool
-    #: (:mod:`repro.parallel`), bit-identical to serial; 0 = one worker
-    #: per CPU core.  With the "gpu" backend each worker simulates its
-    #: own board and the accounting is summed.
-    n_workers: int = 1
-    #: Extra attempts each chunk of the parallel morphological stage may
-    #: consume after its first (0 = fail fast).  Retries are safe — and
-    #: bit-identical — because chunks are independent; see
-    #: :mod:`repro.resilience`.
-    max_retries: int = 0
-    #: Per-chunk deadline (seconds) when collecting pool results.  None
-    #: waits forever; a finite deadline is required to *detect* a worker
-    #: that died mid-chunk (the pool silently drops its task), after
-    #: which the chunk is recomputed in-process.
-    chunk_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.endmember_source not in ("dilation", "center"):
             raise ValidationError(
                 f"endmember_source must be 'dilation' or 'center', got "
@@ -135,15 +124,6 @@ class AMCConfig:
             raise ValidationError("n_classes must be >= 1")
         if self.se_radius < 1:
             raise ValidationError("se_radius must be >= 1")
-        if self.n_workers < 0:
-            raise ValidationError("n_workers must be >= 0 (0 = all cores)")
-        if self.max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ValidationError(
-                f"chunk_timeout_s must be positive, got "
-                f"{self.chunk_timeout_s}")
 
 
 @dataclass(frozen=True)

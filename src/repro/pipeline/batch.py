@@ -180,17 +180,14 @@ def run_amc_batch(cubes, config: AMCConfig = AMCConfig(), *,
         # import deferred: repro.parallel sits above repro.core but
         # below this package; the pool machinery is shared.
         from repro.parallel.pool import resolve_workers, run_tasks
-        from repro.resilience import RetryPolicy
 
         serial_config = replace(config, n_workers=1)
-        policy = RetryPolicy(max_retries=config.max_retries,
-                             chunk_timeout_s=config.chunk_timeout_s)
         outcomes = run_tasks(range(len(bips)), _run_batch_cube,
                              _init_batch_worker,
                              (serial_config, class_names, bips,
                               ground_truths),
                              resolve_workers(config.n_workers),
-                             state=_STATE, policy=policy,
+                             state=_STATE, policy=config.retry_policy(),
                              profiler=profiler)
         items = sorted((outcome.value for outcome in outcomes),
                        key=lambda item: item[0])

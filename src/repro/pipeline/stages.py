@@ -70,14 +70,11 @@ class MorphologyStage(Stage):
         if config.n_workers != 1:
             # import deferred: repro.parallel sits above this package
             from repro.parallel import parallel_morphological_stage
-            from repro.resilience import RetryPolicy
 
-            policy = RetryPolicy(max_retries=config.max_retries,
-                                 chunk_timeout_s=config.chunk_timeout_s)
             mei, ero, dil, gpu_output = parallel_morphological_stage(
                 bip, config.se_radius, backend=backend,
                 n_workers=config.n_workers, gpu_spec=config.gpu_spec,
-                profiler=ctx.get("profiler"), policy=policy)
+                profiler=ctx.get("profiler"), policy=config.retry_policy())
             mei = mei.astype(np.float64)
         else:
             res = backend.run(bip, config.se_radius, spec=config.gpu_spec)

@@ -3,7 +3,9 @@
 The chunk plan already makes every unit of work independent and
 restartable (each chunk carries its own halo); this package cashes that
 in when things go wrong: bounded per-task retry
-(:class:`~repro.resilience.retry.RetryPolicy`), per-task deadlines and
+(:class:`~repro.resilience.retry.RetryPolicy`, derived from the
+:class:`~repro.resilience.retry.ExecutionKnobs` every workload config
+shares), per-task deadlines and
 dead-pool recovery (:mod:`repro.resilience.recovery`), and the error
 isolation primitive behind the batch runner's ``on_error`` policies.
 All recovery paths produce outputs bit-identical to a fault-free serial
@@ -12,6 +14,7 @@ run.  See ``docs/robustness.md``.
 
 from repro.resilience.recovery import collect_async
 from repro.resilience.retry import (
+    ExecutionKnobs,
     RetryPolicy,
     TaskOutcome,
     run_isolated,
@@ -19,6 +22,7 @@ from repro.resilience.retry import (
 )
 
 __all__ = [
+    "ExecutionKnobs",
     "RetryPolicy",
     "TaskOutcome",
     "collect_async",

@@ -18,7 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import faults
-from repro.errors import StreamError, TransientFaultError
+from repro.errors import StreamError, TransientFaultError, ValidationError
+
+
+def _check_retry_knobs(max_retries: int, chunk_timeout_s: float | None,
+                       error: type[Exception]) -> None:
+    if max_retries < 0:
+        raise error(f"max_retries must be >= 0, got {max_retries}")
+    if chunk_timeout_s is not None and chunk_timeout_s <= 0:
+        raise error(f"chunk_timeout_s must be positive, got "
+                    f"{chunk_timeout_s}")
 
 
 @dataclass(frozen=True)
@@ -36,24 +45,61 @@ class RetryPolicy:
         mid-task can never be detected, because a plain
         ``multiprocessing.Pool`` silently drops the in-flight task;
         crash recovery therefore requires a finite deadline.
-    retryable:
-        Exception classes the retry loop absorbs.  Anything else
-        propagates immediately — a ``ShapeError`` will not get better
-        on attempt two.
+
+    The retry loop absorbs :class:`~repro.errors.TransientFaultError`
+    (and its subclasses) only; anything else propagates immediately — a
+    ``ShapeError`` will not get better on attempt two.
     """
 
     max_retries: int = 0
     chunk_timeout_s: float | None = None
-    retryable: tuple[type[BaseException], ...] = (TransientFaultError,)
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise StreamError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise StreamError(
-                f"chunk_timeout_s must be positive, got "
-                f"{self.chunk_timeout_s}")
+        _check_retry_knobs(self.max_retries, self.chunk_timeout_s,
+                           StreamError)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExecutionKnobs:
+    """The execution knobs every workload config shares.
+
+    They select *how* a result is computed, never *what*: chunk
+    independence plus the stitching layer's bit-identity make every
+    setting produce the same bits, so the knobs are excluded from
+    serving cache keys (``repro.workloads.DEFAULT_EXECUTION_KNOBS``).
+    Keyword-only, so a subclass's own fields keep their positions.
+
+    Attributes
+    ----------
+    n_workers:
+        Worker processes for the chunk-parallel stage.  1 = serial (the
+        default); N > 1 splits the image into halo-carrying line chunks
+        executed by a process pool (:mod:`repro.parallel`); 0 = one
+        worker per CPU core.
+    max_retries:
+        Extra attempts each chunk may consume after its first (0 = fail
+        fast).
+    chunk_timeout_s:
+        Per-chunk deadline (seconds) when collecting pool results.  None
+        waits forever; a finite deadline is required to *detect* a
+        worker that died mid-chunk (the pool silently drops its task),
+        after which the chunk is recomputed in-process.
+    """
+
+    n_workers: int = 1
+    max_retries: int = 0
+    chunk_timeout_s: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.n_workers < 0:
+            raise ValidationError("n_workers must be >= 0 (0 = all cores)")
+        _check_retry_knobs(self.max_retries, self.chunk_timeout_s,
+                           ValidationError)
+
+    def retry_policy(self) -> RetryPolicy:
+        """The per-chunk :class:`RetryPolicy` these knobs configure."""
+        return RetryPolicy(max_retries=self.max_retries,
+                           chunk_timeout_s=self.chunk_timeout_s)
 
 
 @dataclass(frozen=True)
@@ -89,8 +135,8 @@ def run_with_retry(func, task, *, index: int | None = None,
     pinned to attempt 0 can never re-fire in the parent process (where
     an injected ``os._exit`` would kill the whole run, not one worker).
 
-    Only ``policy.retryable`` exceptions are absorbed; the last one is
-    re-raised when attempts run out.
+    Only :class:`~repro.errors.TransientFaultError` is absorbed; the
+    last one is re-raised when attempts run out.
     """
     last: BaseException | None = None
     for attempt in range(policy.max_retries + 1):
@@ -100,7 +146,7 @@ def run_with_retry(func, task, *, index: int | None = None,
                 value = func(task)
             finally:
                 faults.set_attempt(0)
-        except policy.retryable as exc:
+        except TransientFaultError as exc:
             last = exc
             continue
         return TaskOutcome(value, retries=attempt)

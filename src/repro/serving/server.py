@@ -75,7 +75,7 @@ from repro.errors import (JobNotFoundError, ServerBusyError,
                           TransientFaultError)
 from repro.faults import maybe_inject
 from repro.profiling.profiler import Profiler
-from repro.resilience import RetryPolicy, run_isolated, run_with_retry
+from repro.resilience import run_isolated, run_with_retry
 from repro.serving import jobs as jobstates
 from repro.serving.api import job_key, result_digest
 from repro.serving.cache import ResultCache
@@ -577,7 +577,7 @@ class AMCServer:
         generation bump makes the zombie attempt's eventual outcome
         stale.
         """
-        budget = getattr(job.config, "max_retries", 0) or 0
+        budget = job.config.max_retries
         job.generation += 1
         if job.watchdog_requeues >= budget:
             job.error = StuckJobError(
@@ -698,8 +698,7 @@ class AMCServer:
         attempt boundary; the ``heartbeat_stall`` fault site between
         the beat and the run is where chaos tests wedge the thread.
         """
-        policy = RetryPolicy(max_retries=job.config.max_retries,
-                             chunk_timeout_s=job.config.chunk_timeout_s)
+        policy = job.config.retry_policy()
         workload = job.workload
         pipeline = self._thread_pipeline(workload)
         heartbeat = job.heartbeat

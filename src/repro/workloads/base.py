@@ -36,9 +36,11 @@ import numpy as np
 from repro.pipeline.runner import Pipeline
 from repro.profiling.profiler import Profiler
 
-#: Config fields that select an execution strategy, not a result —
-#: shared by every built-in workload (and the historical
-#: ``repro.serving.EXECUTION_KNOBS``).
+#: Config fields that select an execution strategy, not a result: the
+#: fields of :class:`~repro.resilience.ExecutionKnobs` (and the
+#: historical ``repro.serving.EXECUTION_KNOBS``).  Spelled out as a
+#: literal because reprolint's cache-key-soundness rule reads it
+#: statically.
 DEFAULT_EXECUTION_KNOBS = frozenset(
     {"n_workers", "max_retries", "chunk_timeout_s"})
 
@@ -56,15 +58,13 @@ def run_pixel_kernel(bip: np.ndarray, kernel, payload, *, config,
     through the pool.
     """
     if config.n_workers != 1:
-        # imports deferred: repro.parallel sits above this package
+        # import deferred: repro.parallel sits above this package
         from repro.parallel import parallel_pixel_map
-        from repro.resilience import RetryPolicy
 
-        policy = RetryPolicy(max_retries=config.max_retries,
-                             chunk_timeout_s=config.chunk_timeout_s)
         return parallel_pixel_map(bip, kernel, payload, halo=halo,
                                   n_workers=config.n_workers,
-                                  profiler=profiler, policy=policy)
+                                  profiler=profiler,
+                                  policy=config.retry_policy())
     return np.asarray(kernel(bip, *payload))
 
 

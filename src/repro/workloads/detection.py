@@ -37,6 +37,7 @@ from repro.errors import ValidationError
 from repro.pipeline.runner import Pipeline
 from repro.pipeline.stages import Stage
 from repro.profiling.profiler import Profiler
+from repro.resilience import ExecutionKnobs
 from repro.spectral.distances import sam
 from repro.workloads.base import Workload, run_pixel_kernel
 
@@ -45,7 +46,7 @@ DETECTION_STAGE_NAMES = ("statistics", "scores", "evaluation")
 
 
 @dataclass(frozen=True)
-class DetectionConfig:
+class DetectionConfig(ExecutionKnobs):
     """Inputs of one detection request.
 
     Attributes
@@ -59,20 +60,17 @@ class DetectionConfig:
     max_alarms:
         Detection-curve horizon when a target mask is supplied
         (default: 10% of the scene).
-    n_workers / max_retries / chunk_timeout_s:
-        Execution knobs of the chunk-parallel scores stage — same
-        semantics as on :class:`~repro.core.amc.AMCConfig`, excluded
-        from cache keys.
+
+    The inherited execution knobs drive the chunk-parallel scores
+    stage.
     """
 
     target: tuple[float, ...] | None = None
     regularization: float = 1e-6
     max_alarms: int | None = None
-    n_workers: int = 1
-    max_retries: int = 0
-    chunk_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.target is not None:
             coerced = tuple(float(v) for v in np.asarray(self.target,
                                                          dtype=np.float64))
@@ -83,15 +81,6 @@ class DetectionConfig:
         if self.max_alarms is not None and self.max_alarms < 1:
             raise ValidationError(f"max_alarms must be >= 1, got "
                              f"{self.max_alarms}")
-        if self.n_workers < 0:
-            raise ValidationError("n_workers must be >= 0 (0 = all cores)")
-        if self.max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ValidationError(
-                f"chunk_timeout_s must be positive, got "
-                f"{self.chunk_timeout_s}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from repro.errors import ValidationError
 from repro.pipeline.runner import Pipeline
 from repro.pipeline.stages import Stage
 from repro.profiling.profiler import Profiler
+from repro.resilience import ExecutionKnobs
 from repro.spectral.reduction import pca
 from repro.workloads.base import Workload, run_pixel_kernel
 
@@ -36,33 +37,21 @@ REDUCTION_STAGE_NAMES = ("statistics", "project")
 
 
 @dataclass(frozen=True)
-class ReductionConfig:
+class ReductionConfig(ExecutionKnobs):
     """Inputs of one band-reduction request.
 
     ``n_components`` is the number of leading components to keep (its
     upper bound — the band count — is checked against the cube at fit
-    time); the three execution knobs match
-    :class:`~repro.core.amc.AMCConfig` and never reach cache keys.
+    time); the inherited execution knobs drive the project stage.
     """
 
     n_components: int = 3
-    n_workers: int = 1
-    max_retries: int = 0
-    chunk_timeout_s: float | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_components < 1:
             raise ValidationError(
                 f"n_components must be >= 1, got {self.n_components}")
-        if self.n_workers < 0:
-            raise ValidationError("n_workers must be >= 0 (0 = all cores)")
-        if self.max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be >= 0, got {self.max_retries}")
-        if self.chunk_timeout_s is not None and self.chunk_timeout_s <= 0:
-            raise ValidationError(
-                f"chunk_timeout_s must be positive, got "
-                f"{self.chunk_timeout_s}")
 
 
 @dataclass(frozen=True)

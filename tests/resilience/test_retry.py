@@ -24,7 +24,6 @@ class TestRetryPolicy:
         policy = RetryPolicy()
         assert policy.max_retries == 0
         assert policy.chunk_timeout_s is None
-        assert TransientFaultError in policy.retryable
 
     def test_negative_retries_rejected(self):
         with pytest.raises(StreamError, match="max_retries"):

@@ -1,9 +1,12 @@
 """Tests for the workload registry and the Workload contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.errors import UnknownWorkloadError
+from repro.resilience import ExecutionKnobs, RetryPolicy
 from repro.workloads import (
     DEFAULT_EXECUTION_KNOBS,
     AMCWorkload,
@@ -14,6 +17,31 @@ from repro.workloads import (
     unregister_workload,
     workload_names,
 )
+
+
+class TestExecutionKnobs:
+    """The knobs every workload config inherits from one base."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    @pytest.mark.parametrize("knob, value", [("n_workers", -1),
+                                             ("max_retries", -1),
+                                             ("chunk_timeout_s", 0.0)])
+    def test_every_config_validates_the_knobs(self, name, knob, value):
+        config_type = get_workload(name).config_type
+        with pytest.raises(ValueError, match=knob):
+            config_type(**{knob: value})
+
+    def test_default_knobs_are_the_base_fields(self):
+        assert DEFAULT_EXECUTION_KNOBS == {
+            f.name for f in dataclasses.fields(ExecutionKnobs)}
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_derived_policy_carries_the_knobs(self, name):
+        config = get_workload(name).config_type(max_retries=3,
+                                                chunk_timeout_s=2.5)
+        assert isinstance(config, ExecutionKnobs)
+        assert config.retry_policy() == RetryPolicy(max_retries=3,
+                                                    chunk_timeout_s=2.5)
 
 
 class TestRegistry:
@@ -125,12 +153,6 @@ class TestDeclarations:
             DetectionConfig(regularization=0.0)
         with pytest.raises(ValueError):
             DetectionConfig(max_alarms=0)
-        with pytest.raises(ValueError):
-            DetectionConfig(n_workers=-1)
-        with pytest.raises(ValueError):
-            DetectionConfig(max_retries=-1)
-        with pytest.raises(ValueError):
-            DetectionConfig(chunk_timeout_s=0.0)
 
     def test_detection_target_canonicalized_to_floats(self):
         config = DetectionConfig(target=np.array([1, 2, 3]))
@@ -142,5 +164,3 @@ class TestDeclarations:
 
         with pytest.raises(ValueError):
             ReductionConfig(n_components=0)
-        with pytest.raises(ValueError):
-            ReductionConfig(n_workers=-1)
