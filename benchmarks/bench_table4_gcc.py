@@ -7,7 +7,7 @@ between GPU generations, <10% between CPU generations.
 
 Here: the six paper-size rows come from the analytic projection (which
 the test suite proves equal to the simulator's counters), and a measured
-wall-clock sweep of the *actual implementations* (vectorized CPU code
+CPU-time sweep of the *actual implementations* (vectorized CPU code
 and the full GPU simulator) at reduced scale verifies the linear-scaling
 claim on real executions.
 
@@ -80,22 +80,33 @@ def test_table4_modeled(benchmark, report):
             < columns["P4 C"][i]
 
 
-# Wall-clock sweep sizes (lines of a 64-sample, 64-band scene).
+# Measured sweep sizes (lines of a 64-sample, 64-band scene).
 _MEASURED_LINES = (32, 64, 128)
+#: Runs per size; the fastest counts.
+_MEASURED_REPEATS = 3
 
 
 def _measured_sweep(device: str):
+    """Process CPU time of each size, best of ``_MEASURED_REPEATS``.
+
+    CPU time leaves out what the host gives other processes, and the
+    best of a few runs leaves out a slow stretch, so the size ratio the
+    scaling check reads is the code's, not the host's.
+    """
     rng = np.random.default_rng(5)
     cube = rng.uniform(0.05, 1.0, size=(max(_MEASURED_LINES), 64, 64))
     times = []
     for lines in _MEASURED_LINES:
         sub = cube[:lines]
-        start = time.perf_counter()
-        if device == "cpu":
-            cpu_morphological_stage(sub, compiler=GCC40)
-        else:
-            gpu_morphological_stage(sub)
-        times.append(time.perf_counter() - start)
+        best = float("inf")
+        for _ in range(_MEASURED_REPEATS):
+            start = time.process_time()
+            if device == "cpu":
+                cpu_morphological_stage(sub, compiler=GCC40)
+            else:
+                gpu_morphological_stage(sub)
+            best = min(best, time.process_time() - start)
+        times.append(best)
     return times
 
 
@@ -104,9 +115,10 @@ def test_table4_measured_cpu_scaling(benchmark, report):
                                iterations=1, warmup_rounds=0)
     rows = [[lines, t * 1e3] for lines, t in zip(_MEASURED_LINES, times)]
     report("table4_measured_cpu",
-           format_table("Table 4 (measured) — wall-clock of the scalar-"
-                        "structured CPU build, reduced scale",
-                        ["lines", "wall ms"], rows))
+           format_table("Table 4 (measured) — CPU time of the scalar-"
+                        "structured CPU build, reduced scale (best of "
+                        f"{_MEASURED_REPEATS})",
+                        ["lines", "cpu ms"], rows))
     # Linear scaling on real executions between the two largest sizes
     # (the smallest run is distorted by interpreter fixed costs and by
     # the working set dropping into cache).
@@ -118,7 +130,8 @@ def test_table4_measured_gpu_scaling(benchmark, report):
                                iterations=1, warmup_rounds=0)
     rows = [[lines, t * 1e3] for lines, t in zip(_MEASURED_LINES, times)]
     report("table4_measured_gpu",
-           format_table("Table 4 (measured) — wall-clock of the GPU "
-                        "simulator, reduced scale",
-                        ["lines", "wall ms"], rows))
+           format_table("Table 4 (measured) — CPU time of the GPU "
+                        "simulator, reduced scale (best of "
+                        f"{_MEASURED_REPEATS})",
+                        ["lines", "cpu ms"], rows))
     assert times[2] > times[0]  # monotone in problem size

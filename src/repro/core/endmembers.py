@@ -119,6 +119,7 @@ def select_endmembers(cube_bip: np.ndarray, mei: np.ndarray, count: int, *,
                       candidates: tuple[np.ndarray, np.ndarray] | None = None,
                       smooth_radius: int = 1,
                       border: int | None = None,
+                      smoothed: np.ndarray | None = None,
                       ) -> EndmemberSet:
     """Pick ``count`` diverse high-MEI pixels as endmembers.
 
@@ -162,6 +163,9 @@ def select_endmembers(cube_bip: np.ndarray, mei: np.ndarray, count: int, *,
         Clamp-to-edge addressing makes border neighbourhoods
         self-referential, which turns border pixels into spurious
         high-residual outliers.  Defaults to ``smooth_radius + 1``.
+    smoothed:
+        ``smooth_cube(cube_bip, smooth_radius)`` when the caller already
+        has it; computed here when omitted.
 
     Raises
     ------
@@ -209,7 +213,12 @@ def select_endmembers(cube_bip: np.ndarray, mei: np.ndarray, count: int, *,
     order = cand_flat[rank]
     coords = np.column_stack(np.unravel_index(order, mei.shape))
 
-    flat = smooth_cube(cube_bip, smooth_radius).reshape(h * w, -1)
+    if smoothed is None:
+        smoothed = smooth_cube(cube_bip, smooth_radius)
+    elif smoothed.shape != cube_bip.shape:
+        raise ShapeError(f"smoothed cube {smoothed.shape} does not match "
+                         f"cube {cube_bip.shape}")
+    flat = smoothed.reshape(h * w, -1)
     normalized = normalize_spectra(flat)
 
     if strategy == "atgp":

@@ -20,7 +20,8 @@ implements the machine the paper programs against:
   milliseconds.
 * :mod:`~repro.gpu.device` — :class:`~repro.gpu.device.VirtualGPU`, the
   programmer-facing object: upload, launch, download, counters, VRAM
-  accounting.
+  accounting, and capture/replay of a fixed command stream
+  (:class:`~repro.gpu.device.CapturedProgram`).
 
 Everything a benchmark reports is derived from work the interpreter
 actually performed — the timing model multiplies counted fragments, ops,
@@ -29,7 +30,7 @@ fetches and bytes by spec-derived rates; no result is hard-coded.
 
 from repro.gpu.cost import CostModel, OP_COSTS
 from repro.gpu.counters import GpuCounters, KernelLaunchRecord
-from repro.gpu.device import VirtualGPU
+from repro.gpu.device import CapturedProgram, VirtualGPU
 from repro.gpu.memory import VramAllocator
 from repro.gpu.shader import FragmentShader
 from repro.gpu.shaderir import (
@@ -67,6 +68,7 @@ from repro.gpu.texture import Texture2D, pack_bands, unpack_bands
 
 __all__ = [
     "AGP8X_BANDWIDTH",
+    "CapturedProgram",
     "Combine",
     "Const",
     "CostModel",

@@ -30,6 +30,20 @@ access to a queued texture's ``data``, the way ``glReadPixels``
 synchronises.  The texels equal those of the recursive evaluator
 :func:`repro.gpu.interpreter.execute`, byte for byte, which is the
 oracle the tests compare this path against.
+
+A program whose launches are the same every time it runs (one chunk of
+the paper's Fig. 4, whatever texels it streams) can skip the per-launch
+host work after its first run.  :meth:`~VirtualGPU.capture` runs it
+through the checked verbs above while recording its command stream as a
+:class:`CapturedProgram`: target allocations, frees and clears, each
+launch with its frozen :class:`~repro.gpu.counters.KernelLaunchRecord`,
+coerced uniforms and stack key, the flush points and the downloads.
+:meth:`~VirtualGPU.replay` checks once that the new input textures are
+resident and of the captured shapes, then re-issues the allocations and
+frees (so VRAM accounting and out-of-memory errors are those of the
+checked run), appends the captured records and queues each launch into
+the same queue, renamed the same way and run by the same
+:meth:`~VirtualGPU.flush`.
 """
 
 from __future__ import annotations
@@ -61,6 +75,12 @@ QUEUE_TEXELS: int = 1 << 17
 
 _CLEARED = np.zeros(CHANNELS, dtype=np.float32)
 _CLEARED.setflags(write=False)
+
+# Op codes of a captured program: (_CREATE, height, width, label),
+# (_FREE, slots), (_CLEAR, slot), (_LAUNCH, shader, target slot,
+# ((sampler, slot), ...), uniforms, record, stack key), (_FLUSH,) and
+# (_DOWNLOAD, slot, scalar).
+_CREATE, _FREE, _CLEAR, _LAUNCH, _FLUSH, _DOWNLOAD = range(6)
 
 
 class _Version:
@@ -104,6 +124,54 @@ class _Command:
         self.key = key
 
 
+class CapturedProgram:
+    """A checked command stream, frozen for :meth:`VirtualGPU.replay`.
+
+    Textures are numbered slots: the named inputs first, in the order
+    they were given, then every target the stream created, in creation
+    order.  ``inputs`` holds each input's name and (H, W, 4) shape;
+    ``ops`` the stream.  A program holds no texel data, and nothing in
+    it is mutated after capture, so threads and devices of the same
+    ``spec`` may share it.
+    """
+
+    __slots__ = ("spec", "inputs", "ops", "slots")
+
+    def __init__(self, spec: GpuSpec, inputs: tuple, ops: tuple,
+                 slots: int):
+        self.spec = spec
+        self.inputs = inputs
+        self.ops = ops
+        self.slots = slots
+
+
+class _Recorder:
+    """The slots and ops of a capture in progress.
+
+    Equal launch records and binding tuples are stored once
+    (``interned``): a chunk repeats few of them.
+    """
+
+    __slots__ = ("slot_of", "ops", "interned")
+
+    def __init__(self, inputs: dict[str, Texture2D]):
+        self.slot_of = {tex: slot for slot, tex in enumerate(inputs.values())}
+        self.ops: list[tuple] = []
+        self.interned: dict = {}
+
+    def slot(self, tex: Texture2D) -> int:
+        try:
+            return self.slot_of[tex]
+        except KeyError:
+            raise ShaderError(
+                f"texture {tex.label or 'unnamed'!r} is neither an input of "
+                f"the capture nor created by it") from None
+
+    def create(self, tex: Texture2D) -> None:
+        self.slot_of[tex] = len(self.slot_of)
+        self.ops.append((_CREATE, tex.height, tex.width, tex.label))
+
+
 class VirtualGPU:
     """A simulated commodity GPU.
 
@@ -129,6 +197,7 @@ class VirtualGPU:
         self._commands: list[_Command] = []
         self._touched: list[Texture2D] = []
         self._queued_texels = 0
+        self._recorder: _Recorder | None = None
 
     # ------------------------------------------------------------ textures
     def upload(self, data: np.ndarray, *, label: str = "") -> Texture2D:
@@ -137,6 +206,7 @@ class VirtualGPU:
         ``data`` must be (H, W, 4); it is converted to float32 (the only
         texel format the simulated pipeline renders to).
         """
+        self._refuse_upload()
         tex = Texture2D(np.array(data, dtype=np.float32, copy=True),
                         label=label)
         tex.handle = self.vram.allocate(tex.nbytes, label=label or "upload")
@@ -147,6 +217,7 @@ class VirtualGPU:
 
     def upload_scalar(self, image: np.ndarray, *, label: str = "") -> Texture2D:
         """Upload a scalar (H, W) map into the x channel of a texture."""
+        self._refuse_upload()
         tex = Texture2D.from_scalar_image(image, label=label)
         tex.handle = self.vram.allocate(tex.nbytes, label=label or "upload")
         self.counters.record_transfer(TransferRecord(
@@ -159,10 +230,15 @@ class VirtualGPU:
         """Allocate a zero-initialized render target (no bus traffic)."""
         tex = Texture2D.zeros(height, width, label=label)
         tex.handle = self.vram.allocate(tex.nbytes, label=label or "target")
+        if self._recorder is not None:
+            self._recorder.create(tex)
         return tex
 
     def free(self, *textures: Texture2D) -> None:
         """Release textures' VRAM.  Safe to call once per texture."""
+        if self._recorder is not None:
+            self._recorder.ops.append(
+                (_FREE, tuple(map(self._recorder.slot, textures))))
         for tex in textures:
             if tex.handle >= 0:
                 self.vram.release(tex.handle)
@@ -188,12 +264,18 @@ class VirtualGPU:
             wrong size.  A refused launch leaves nothing queued.
         """
         self._check_bindings(shader.name, target, textures)
+        recorder = self._recorder
+        if recorder is not None:
+            # slots first: an unknown texture records and queues nothing
+            target_slot = recorder.slot(target)
+            bindings = tuple((name, recorder.slot(tex))
+                             for name, tex in textures.items())
         _, uniforms = coerce_bindings(
             shader, {name: tex._data for name, tex in textures.items()},
             uniforms)
         height, width = target.height, target.width
         cost, timing = self.cost_model.launch_time(shader, width, height)
-        self.counters.record_launch(KernelLaunchRecord(
+        record = KernelLaunchRecord(
             kernel=shader.name,
             width=width,
             height=height,
@@ -202,26 +284,38 @@ class VirtualGPU:
             dynamic_fetches=cost.dynamic_fetches,
             modeled_time_s=timing.total_s,
             compute_time_s=timing.compute_s,
-            memory_time_s=timing.memory_s))
+            memory_time_s=timing.memory_s)
+        self.counters.record_launch(record)
 
         if self._queued_texels + height * width > QUEUE_TEXELS:
             self.flush()
-        self._queued_texels += height * width
+        shape = target._data.shape
+        key = stack_signature(shader).key
+        if key and all(tex._data.shape == shape for tex in textures.values()):
+            key = (key, height, width)
+        else:
+            key = None
+        self._enqueue(shader, target, textures.items(), uniforms, key)
+        if recorder is not None:
+            intern = recorder.interned.setdefault
+            recorder.ops.append((_LAUNCH, shader, target_slot,
+                                 intern(bindings, bindings), uniforms,
+                                 intern(record, record), key))
+        return target
 
+    def _enqueue(self, shader, target, textures, uniforms, key) -> None:
+        """Queue one checked launch over ``(sampler, texture)`` pairs."""
+        height, width = target.height, target.width
+        self._queued_texels += height * width
         inputs = {}
         level = 0
-        shape = target._data.shape
-        stackable = True
-        for name, tex in textures.items():
+        for name, tex in textures:
             version = inputs[name] = self._read(tex)
-            level = max(level, version.level + 1)
-            stackable = stackable and tex._data.shape == shape
-        key = stack_signature(shader).key
+            if version.level >= level:
+                level = version.level + 1
         self._commands.append(_Command(
             shader, height, width, inputs, uniforms,
-            self._write(target, None, level), level,
-            (key, height, width) if stackable and key else None))
-        return target
+            self._write(target, None, level), level, key))
 
     # Only perfbench/layers.py needs this alias: it wraps it by name.
     launch_fused = launch
@@ -232,6 +326,8 @@ class VirtualGPU:
         Like a host write of zeros it is not modeled and adds no launch
         record; unlike one, it does not flush the queue.
         """
+        if self._recorder is not None:
+            self._recorder.ops.append((_CLEAR, self._recorder.slot(texture)))
         self._write(texture, np.broadcast_to(
             _CLEARED, (texture.height, texture.width, CHANNELS)), -1)
         return texture
@@ -278,6 +374,8 @@ class VirtualGPU:
         commands, touched = self._commands, self._touched
         if not touched:
             return
+        if self._recorder is not None:
+            self._recorder.ops.append((_FLUSH,))
         self._commands, self._touched, self._queued_texels = [], [], 0
         try:
             levels: dict[int, list[_Command]] = {}
@@ -366,6 +464,9 @@ class VirtualGPU:
         Flushes the queue first.
         """
         self.flush()
+        if self._recorder is not None:
+            self._recorder.ops.append(
+                (_DOWNLOAD, self._recorder.slot(texture), False))
         self.counters.record_transfer(TransferRecord(
             direction="download", nbytes=texture.nbytes,
             modeled_time_s=self.cost_model.transfer_time(texture.nbytes)))
@@ -379,11 +480,112 @@ class VirtualGPU:
         first.
         """
         self.flush()
+        if self._recorder is not None:
+            self._recorder.ops.append(
+                (_DOWNLOAD, self._recorder.slot(texture), True))
         nbytes = texture.nbytes // 4
         self.counters.record_transfer(TransferRecord(
             direction="download", nbytes=nbytes,
             modeled_time_s=self.cost_model.transfer_time(nbytes)))
         return texture.data[:, :, 0].copy()
+
+    # ------------------------------------------------------ capture / replay
+    def capture(self, inputs: dict[str, Texture2D], body):
+        """Run ``body()`` through the checked verbs, recording its
+        command stream.
+
+        ``inputs`` names the resident textures the stream reads besides
+        the targets it creates; the stream may free them, but may not
+        upload.  The queue is flushed first, so the recorded flush
+        points are the stream's own.
+
+        Returns ``(body(), CapturedProgram)``.  If ``body`` raises, the
+        error propagates, nothing is returned and the device is no
+        longer capturing.
+        """
+        if self._recorder is not None:
+            raise ShaderError("this device is already capturing")
+        shapes = self._input_shapes(inputs)
+        self.flush()
+        recorder = self._recorder = _Recorder(inputs)
+        try:
+            result = body()
+        finally:
+            self._recorder = None
+        return result, CapturedProgram(self.spec, shapes,
+                                       tuple(recorder.ops),
+                                       len(recorder.slot_of))
+
+    def replay(self, program: CapturedProgram,
+               inputs: dict[str, Texture2D]) -> list[np.ndarray]:
+        """Re-issue a captured command stream over new input textures.
+
+        One check replaces the per-launch ones: ``inputs`` must name the
+        captured inputs, resident and of the captured shapes, on a
+        device of the captured spec.  Allocations, frees, clears and
+        flushes are re-issued, the captured launch records appended in
+        order and each launch queued as :meth:`launch` queues it, so the
+        counters, VRAM accounting and texels equal those of the checked
+        run.  Returns the stream's downloads, in order.
+
+        Raises
+        ------
+        ShaderError
+            If the inputs or the spec do not match the capture, or the
+            device is capturing.
+        """
+        if self._recorder is not None:
+            raise ShaderError("cannot replay a program into a capture")
+        if program.spec != self.spec:
+            raise ShaderError(
+                f"program was captured on {program.spec.name!r}, not "
+                f"{self.spec.name!r}")
+        if self._input_shapes(inputs) != program.inputs:
+            raise ShaderError(
+                f"replay inputs must be {list(program.inputs)}")
+        textures = list(inputs.values()) + [None] * (
+            program.slots - len(inputs))
+        created = len(inputs)
+        downloads = []
+        self.flush()
+        for op in program.ops:
+            code = op[0]
+            if code == _LAUNCH:
+                _, shader, target, bindings, uniforms, record, key = op
+                self.counters.record_launch(record)
+                self._enqueue(shader, textures[target],
+                              [(name, textures[slot])
+                               for name, slot in bindings],
+                              uniforms, key)
+            elif code == _CREATE:
+                textures[created] = self.create_target(
+                    op[1], op[2], label=op[3])
+                created += 1
+            elif code == _FREE:
+                self.free(*[textures[slot] for slot in op[1]])
+            elif code == _CLEAR:
+                self.clear(textures[op[1]])
+            elif code == _FLUSH:
+                self.flush()
+            else:
+                read = self.download_scalar if op[2] else self.download
+                downloads.append(read(textures[op[1]]))
+        return downloads
+
+    @staticmethod
+    def _input_shapes(inputs: dict[str, Texture2D]) -> tuple:
+        """``((name, shape), ...)`` of distinct resident textures."""
+        for name, tex in inputs.items():
+            if not isinstance(tex, Texture2D) or tex.handle < 0:
+                raise ShaderError(
+                    f"input {name!r} is not a device-resident Texture2D")
+        if len(set(map(id, inputs.values()))) != len(inputs):
+            raise ShaderError("a texture is given as two inputs")
+        return tuple((name, tex._data.shape) for name, tex in inputs.items())
+
+    def _refuse_upload(self) -> None:
+        if self._recorder is not None:
+            raise ShaderError("a captured program cannot upload")
 
     # ------------------------------------------------------------- control
     def reset_counters(self) -> None:

@@ -14,7 +14,7 @@ Context keys (set by the caller): ``bip`` (H, W, N float array),
 ``class_names``, ``profiler``.  Stages add: ``mei``, ``erosion_index``,
 ``dilation_index``, ``gpu_output``, ``device``, ``endmembers``,
 ``abundances``, ``winner``, ``endmember_labels``, ``labels``,
-``report``.
+``report``, and ``smoothed`` from endmember selection to unmixing.
 """
 
 from __future__ import annotations
@@ -90,13 +90,28 @@ class MorphologyStage(Stage):
                    gpu_output=gpu_output, device=device)
 
 
+def _host_unmixing(config, backend) -> bool:
+    """Whether the unmixing stage runs on the host (not the device)."""
+    return not (config.gpu_unmixing and backend.supports_device_unmixing)
+
+
 class EndmemberStage(Stage):
-    """Step 3a: select the c most spectrally pure, diverse pixels."""
+    """Step 3a: select the c most spectrally pure, diverse pixels.
+
+    When host unmixing smooths the cube with the same radius as the
+    candidate spectra, the smoothed cube is computed once, here, and
+    left in ``ctx["smoothed"]`` for :class:`UnmixingStage`.
+    """
 
     name = "endmembers"
 
     def run(self, ctx: dict) -> None:
         config, bip = ctx["config"], ctx["bip"]
+        radius = config.endmember_smooth_radius
+        smoothed = None
+        if radius > 0 and radius == config.classify_smooth_radius \
+                and _host_unmixing(config, ctx["backend"]):
+            smoothed = ctx["smoothed"] = smooth_cube(bip, radius)
         candidates = None
         if config.endmember_source == "dilation":
             candidates = dilation_candidates(ctx["mei"],
@@ -108,7 +123,7 @@ class EndmemberStage(Stage):
             min_sid=config.endmember_min_sid,
             min_spatial=config.endmember_min_spatial,
             candidates=candidates,
-            smooth_radius=config.endmember_smooth_radius)
+            smooth_radius=radius, smoothed=smoothed)
 
 
 class UnmixingStage(Stage):
@@ -128,7 +143,8 @@ class UnmixingStage(Stage):
     def run(self, ctx: dict) -> None:
         config, bip, backend = ctx["config"], ctx["bip"], ctx["backend"]
         endmembers = ctx["endmembers"]
-        if config.gpu_unmixing and backend.supports_device_unmixing:
+        smoothed = ctx.pop("smoothed", None)
+        if not _host_unmixing(config, backend):
             device = ctx["device"]
             shared = device is not None
             if device is None:
@@ -145,8 +161,10 @@ class UnmixingStage(Stage):
             ctx["abundances"] = unmix_out.abundances.astype(np.float64)
             ctx["device_winner"] = unmix_out.winner_index
         else:
-            pixels = smooth_cube(bip, config.classify_smooth_radius) \
-                if config.classify_smooth_radius > 0 else bip
+            pixels = smoothed
+            if pixels is None:
+                pixels = smooth_cube(bip, config.classify_smooth_radius) \
+                    if config.classify_smooth_radius > 0 else bip
             ctx["abundances"] = UNMIXERS[config.unmixing](
                 pixels, endmembers.spectra)
 
