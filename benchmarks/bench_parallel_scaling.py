@@ -10,7 +10,7 @@ worker sweep, reports the speedup and the redundant halo lines each
 configuration pays, and asserts the parallel results stay bit-identical
 to serial — the property that makes the whole exercise legitimate.
 
-Absolute speedups are host-dependent (core count, fork cost); the
+Absolute speedups are host-dependent (core count, pool start-up); the
 recorded artefact is the measurement, not a pass/fail threshold.
 """
 

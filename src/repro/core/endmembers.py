@@ -25,7 +25,7 @@ from scipy.ndimage import uniform_filter
 
 from repro.errors import ShapeError, ValidationError
 from repro.spectral.distances import sid
-from repro.spectral.normalize import normalize_spectra
+from repro.spectral.normalize import check_normalizable, normalize_spectra
 
 
 def smooth_cube(cube_bip: np.ndarray, radius: int = 1) -> np.ndarray:
@@ -219,14 +219,16 @@ def select_endmembers(cube_bip: np.ndarray, mei: np.ndarray, count: int, *,
         raise ShapeError(f"smoothed cube {smoothed.shape} does not match "
                          f"cube {cube_bip.shape}")
     flat = smoothed.reshape(h * w, -1)
-    normalized = normalize_spectra(flat)
 
     if strategy == "atgp":
+        # Only the chosen spectra are read normalized (below).
+        check_normalizable(flat)
         chosen = _select_atgp(flat[order], count)
         chosen = [int(order[i]) for i in chosen]
     elif strategy == "sid":
-        chosen = _select_sid_walk(order, coords, normalized, count, w,
-                                  min_sid, min_spatial, relax_factor)
+        chosen = _select_sid_walk(order, coords, normalize_spectra(flat),
+                                  count, w, min_sid, min_spatial,
+                                  relax_factor)
     else:
         raise ValidationError(f"unknown strategy {strategy!r}; "
                          f"pick 'atgp' or 'sid'")
@@ -236,7 +238,7 @@ def select_endmembers(cube_bip: np.ndarray, mei: np.ndarray, count: int, *,
     positions = np.column_stack(np.unravel_index(idx, mei.shape))
     return EndmemberSet(positions=positions,
                         spectra=flat[idx],
-                        normalized=normalized[idx],
+                        normalized=normalize_spectra(flat[idx]),
                         scores=np.array([score_of[i] for i in chosen]))
 
 

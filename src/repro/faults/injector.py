@@ -45,13 +45,18 @@ Fault kinds
 Installation
 ------------
 
-:func:`install` sets the process-wide injector (inherited by forked
-pool workers); the ``REPRO_FAULTS`` environment variable carries the
-same configuration as JSON for spawn-based pools and end-to-end chaos
-runs::
+:func:`install` sets the process-wide injector; the ``REPRO_FAULTS``
+environment variable carries the same configuration as JSON, for
+subprocesses and end-to-end chaos runs::
 
     REPRO_FAULTS='{"seed": 7, "specs": [{"kind": "transient",
                    "site": "chunk", "index": 0, "attempt": 0}]}'
+
+Pool workers do not read either for themselves: every chunk-parallel
+job ships :func:`current_injector`, resolved in the caller when the job
+starts, to its workers (:mod:`repro.parallel.pool`), so an injector
+installed or an environment variable set after the pool started still
+reaches them.
 """
 
 from __future__ import annotations
@@ -254,7 +259,7 @@ _ATTEMPT: int = 0
 
 
 def install(injector: FaultInjector) -> None:
-    """Install a process-wide injector (inherited by forked workers)."""
+    """Install a process-wide injector (each pool job ships it)."""
     global _INSTALLED
     _INSTALLED = injector
 

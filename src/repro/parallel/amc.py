@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,40 +46,38 @@ from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
 from repro.profiling.profiler import ChunkRecord, Profiler
 from repro.resilience import RetryPolicy
 
-# Worker-side state, installed once per pool process by _init_worker.
-# Plain module global: multiprocessing initializers cannot return state.
-_STATE: dict = {}
+
+class _MorphJob(NamedTuple):
+    """One stage run's state, as each worker holds it."""
+
+    bip: np.ndarray
+    radius: int
+    backend: MorphologicalBackend
+    spec: GpuSpec
+    maps: tuple            # (mei, erosion, dilation), filled by core rows
 
 
-def _init_worker(bip: np.ndarray, radius: int,
-                 backend: MorphologicalBackend, spec: GpuSpec) -> None:
-    _STATE["bip"] = bip
-    _STATE["radius"] = radius
-    _STATE["backend"] = backend
-    _STATE["spec"] = spec
-
-
-def _morph_chunk(chunk):
-    """Run the morphological stage on one chunk's extended region."""
+def _morph_chunk(job: _MorphJob, chunk):
+    """Run the morphological stage on one chunk's extended region and
+    write its core rows into the job's maps."""
     maybe_inject("chunk", index=chunk.index, ext_lines=chunk.ext_lines)
-    bip, radius = _STATE["bip"], _STATE["radius"]
-    backend, spec = _STATE["backend"], _STATE["spec"]
-    sub = bip[chunk.ext_start:chunk.ext_stop]
+    sub = job.bip[chunk.ext_start:chunk.ext_stop]
     start = time.perf_counter()
-    piece = backend.run_chunk(sub, radius, spec=spec)
+    piece = job.backend.run_chunk(sub, job.radius, spec=job.spec)
     wall = time.perf_counter() - start
     if piece.split is None:
         upload, compute, download = 0.0, wall, 0.0
     else:
         upload, compute, download = piece.split
     record = ChunkRecord(index=chunk.index, core_lines=chunk.core_lines,
-                         ext_lines=chunk.ext_lines, halo=radius,
+                         ext_lines=chunk.ext_lines, halo=job.radius,
                          wall_s=wall, upload_s=upload, compute_s=compute,
                          download_s=download, worker=os.getpid())
-    cores = tuple(np.ascontiguousarray(chunk.core_of(a))
-                  for a in (piece.mei, piece.erosion_index,
-                            piece.dilation_index))
-    return chunk.index, cores, record, piece.accounting, piece.stats
+    core = slice(chunk.core_start, chunk.core_stop)
+    for out, full in zip(job.maps, (piece.mei, piece.erosion_index,
+                                    piece.dilation_index)):
+        out[core] = chunk.core_of(full)
+    return record, piece.accounting, piece.stats
 
 
 def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
@@ -140,14 +139,17 @@ def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
     pieces = workers if n_chunks is None else int(n_chunks)
     pieces = max(1, min(pieces, lines))
     core_lines = -(-lines // pieces)               # ceil division
+    maps = (np.empty((lines, samples), dtype=backend.mei_dtype),
+            np.empty((lines, samples), dtype=np.int64),
+            np.empty((lines, samples), dtype=np.int64))
     while True:
         plan = plan_chunks_by_lines(lines, samples, bands,
                                     max_ext_lines=core_lines + 2 * radius,
                                     halo=radius)
         try:
-            results = run_tasks(plan, _morph_chunk, _init_worker,
-                                (bip, radius, backend, gpu_spec), workers,
-                                state=_STATE, policy=policy,
+            results = run_tasks(plan, _morph_chunk, _MorphJob,
+                                (bip, radius, backend, gpu_spec, maps),
+                                workers, outputs=maps, policy=policy,
                                 profiler=profiler)
             break
         except GpuOutOfMemoryError as exc:
@@ -162,16 +164,11 @@ def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
                 profiler.record_event("oom_degrade", detail)
             core_lines = smaller
 
-    mei = np.empty((lines, samples), dtype=backend.mei_dtype)
-    erosion = np.empty((lines, samples), dtype=np.int64)
-    dilation = np.empty((lines, samples), dtype=np.int64)
+    mei, erosion, dilation = maps
     accountings = []
     stats_dicts = []
-    for outcome in results:
-        index, cores, record, accounting, stats = outcome.value
-        chunk = plan.chunks[index]
-        core = slice(chunk.core_start, chunk.core_stop)
-        mei[core], erosion[core], dilation[core] = cores
+    for index, outcome in enumerate(results):
+        record, accounting, stats = outcome.value
         record_outcome(profiler, outcome, index, record)
         if accounting is not None:
             accountings.append(accounting)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,32 +40,28 @@ from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
 from repro.profiling.profiler import ChunkRecord, Profiler
 from repro.resilience import RetryPolicy
 
-# Worker-side state (see repro.parallel.amc for the pattern).
-_STATE: dict = {}
+
+class _MapJob(NamedTuple):
+    """One map's state, as each worker holds it."""
+
+    bip: np.ndarray
+    kernel: Callable
+    payload: tuple
+    halo: int
 
 
-def _init_map_worker(bip: np.ndarray, kernel, payload: tuple,
-                     halo: int) -> None:
-    _STATE["bip"] = bip
-    _STATE["kernel"] = kernel
-    _STATE["payload"] = payload
-    _STATE["halo"] = halo
-
-
-def _map_chunk(chunk):
+def _map_chunk(job: _MapJob, chunk):
     """Run the kernel on one chunk's extended region; return its core."""
     maybe_inject("chunk", index=chunk.index, ext_lines=chunk.ext_lines)
-    bip, kernel = _STATE["bip"], _STATE["kernel"]
-    payload, halo = _STATE["payload"], _STATE["halo"]
-    sub = bip[chunk.ext_start:chunk.ext_stop]
+    sub = job.bip[chunk.ext_start:chunk.ext_stop]
     start = time.perf_counter()
-    out = kernel(sub, *payload)
+    out = job.kernel(sub, *job.payload)
     wall = time.perf_counter() - start
     record = ChunkRecord(index=chunk.index, core_lines=chunk.core_lines,
-                         ext_lines=chunk.ext_lines, halo=halo,
+                         ext_lines=chunk.ext_lines, halo=job.halo,
                          wall_s=wall, upload_s=0.0, compute_s=wall,
                          download_s=0.0, worker=os.getpid())
-    return chunk.index, np.ascontiguousarray(chunk.core_of(out)), record
+    return np.ascontiguousarray(chunk.core_of(out)), record
 
 
 def parallel_pixel_map(bip: np.ndarray, kernel, payload: tuple = (), *,
@@ -87,7 +84,7 @@ def parallel_pixel_map(bip: np.ndarray, kernel, payload: tuple = (), *,
         is; a property test pins it).
     payload:
         Global, read-only kernel arguments (precomputed statistics),
-        shipped to each worker once through the pool initializer.
+        shipped to each worker once per call, in the job's state.
     halo:
         Lines of context each chunk carries per interior edge (0 for
         point kernels).
@@ -122,13 +119,13 @@ def parallel_pixel_map(bip: np.ndarray, kernel, payload: tuple = (), *,
     plan = plan_chunks_by_lines(lines, samples, bands,
                                 max_ext_lines=core_lines + 2 * halo,
                                 halo=halo)
-    results = run_tasks(plan, _map_chunk, _init_map_worker,
+    results = run_tasks(plan, _map_chunk, _MapJob,
                         (bip, kernel, tuple(payload), halo), workers,
-                        state=_STATE, policy=policy, profiler=profiler)
+                        policy=policy, profiler=profiler)
 
     out: np.ndarray | None = None
-    for outcome in results:
-        index, core, record = outcome.value
+    for index, outcome in enumerate(results):
+        core, record = outcome.value
         chunk = plan.chunks[index]
         if out is None:
             out = np.empty((lines, *core.shape[1:]), dtype=core.dtype)

@@ -9,11 +9,11 @@ both:
 * ``config.n_workers == 1`` — one :class:`~repro.pipeline.Pipeline`
   instance (and the kernel caches it warms) is reused across every
   cube, sequentially;
-* ``config.n_workers != 1`` — one process pool serves the whole batch,
-  one task per cube; each worker builds its pipeline once (pool
-  initializer) and reuses it for every cube it is handed.  Workers run
-  the serial per-cube path — chunk- and batch-level parallelism do not
-  nest — which is bit-identical to chunk-parallel execution anyway.
+* ``config.n_workers != 1`` — one pool job serves the whole batch,
+  one task per cube; each worker builds its pipeline once per batch
+  (the job's state) and reuses it for every cube it is handed.  Workers
+  run the serial per-cube path — chunk- and batch-level parallelism do
+  not nest — which is bit-identical to chunk-parallel execution anyway.
 
 Either way the results are exactly what per-cube
 :func:`~repro.core.amc.run_amc` calls would produce (the batch test
@@ -32,6 +32,7 @@ wrapping the exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.core.amc import AMCConfig, AMCResult, _as_bip
 from repro.errors import ValidationError
@@ -64,33 +65,35 @@ class BatchItemError:
                 f"{type(self.error).__name__}: {self.error}")
 
 
-# Worker-side state (see repro.parallel.amc for the pattern).
-_STATE: dict = {}
+class _BatchJob(NamedTuple):
+    """One batch's state, as each worker holds it."""
+
+    config: AMCConfig
+    class_names: object
+    bips: list
+    ground_truths: list
+    pipeline: object
 
 
-def _init_batch_worker(config: AMCConfig, class_names, bips,
-                       ground_truths) -> None:
-    # The bips ride in the initializer — not the task queue — so fork
-    # inherits them with their memory layout intact; pickling through
-    # the queue would force them C-contiguous, and numpy's pairwise
-    # summation is layout-sensitive at the last bit.
-    _STATE["config"] = config
-    _STATE["class_names"] = class_names
-    _STATE["bips"] = bips
-    _STATE["ground_truths"] = ground_truths
-    _STATE["pipeline"] = build_amc_pipeline()
+def _batch_job(config: AMCConfig, class_names, bips,
+               ground_truths) -> _BatchJob:
+    # The bips ride in the job's state, not in the tasks: a worker
+    # reads them from the job segment at their original strides, and
+    # numpy's pairwise summation is layout-sensitive at the last bit.
+    return _BatchJob(config, class_names, bips, ground_truths,
+                     build_amc_pipeline())
 
 
-def _compute_batch_cube(index, profiler: Profiler | None = None):
+def _compute_batch_cube(job: _BatchJob, index,
+                        profiler: Profiler | None = None):
     maybe_inject("cube", index=index)
-    return execute_amc(_STATE["bips"][index], _STATE["config"],
-                       ground_truth=_STATE["ground_truths"][index],
-                       class_names=_STATE["class_names"],
-                       profiler=profiler,
-                       pipeline=_STATE["pipeline"])
+    return execute_amc(job.bips[index], job.config,
+                       ground_truth=job.ground_truths[index],
+                       class_names=job.class_names,
+                       profiler=profiler, pipeline=job.pipeline)
 
 
-def _run_batch_cube(index):
+def _run_batch_cube(job: _BatchJob, index):
     """Run one cube through the worker's long-lived pipeline, isolated.
 
     Failures are *returned*, not raised — ``(index, result, error)`` —
@@ -98,7 +101,7 @@ def _run_batch_cube(index):
     crossing the pool boundary would otherwise abort result collection
     for every cube behind it.
     """
-    result, error = run_isolated(_compute_batch_cube, index)
+    result, error = run_isolated(_compute_batch_cube, job, index)
     return index, result, error
 
 
@@ -183,20 +186,18 @@ def run_amc_batch(cubes, config: AMCConfig = AMCConfig(), *,
 
         serial_config = replace(config, n_workers=1)
         outcomes = run_tasks(range(len(bips)), _run_batch_cube,
-                             _init_batch_worker,
+                             _batch_job,
                              (serial_config, class_names, bips,
                               ground_truths),
                              resolve_workers(config.n_workers),
-                             state=_STATE, policy=config.retry_policy(),
+                             policy=config.retry_policy(),
                              profiler=profiler)
         items = sorted((outcome.value for outcome in outcomes),
                        key=lambda item: item[0])
         return _apply_on_error(items, on_error, config, profiler)
 
-    _init_batch_worker(config, class_names, bips, ground_truths)
-    try:
-        items = [(index, *run_isolated(_compute_batch_cube, index, profiler))
-                 for index in range(len(bips))]
-        return _apply_on_error(items, on_error, config, profiler)
-    finally:
-        _STATE.clear()
+    job = _batch_job(config, class_names, bips, ground_truths)
+    items = [(index, *run_isolated(_compute_batch_cube, job, index,
+                                   profiler))
+             for index in range(len(bips))]
+    return _apply_on_error(items, on_error, config, profiler)

@@ -86,22 +86,40 @@ def normalize_spectra(spectra: np.ndarray, *, axis: int = -1,
     ValueError
         If any value is negative or an entire spectrum sums to zero.
     """
+    spectra, total = _checked_totals(spectra, axis)
+    eps = SpectralEpsilon.get() if epsilon is None else float(epsilon)
+    out = spectra / total
+    np.clip(out, eps, None, out=out)
+    return out
+
+
+def check_normalizable(spectra: np.ndarray, *, axis: int = -1) -> None:
+    """Raise what :func:`normalize_spectra` would raise, without
+    normalizing.
+
+    For callers that validate a whole image but read only a few
+    normalized spectra: normalization is per spectrum, so
+    ``normalize_spectra(flat[idx])`` equals ``normalize_spectra(flat)[idx]``.
+    """
+    _checked_totals(spectra, axis)
+
+
+def _checked_totals(spectra, axis: int):
+    """``spectra`` as float64 (float32 kept) and its per-spectrum sums,
+    after the checks :func:`normalize_spectra` documents."""
     spectra = np.asarray(spectra)
     if spectra.shape == () or spectra.shape[axis] == 0:
         raise ShapeError("spectra must have a non-empty spectral axis")
     if np.any(spectra < 0):
         raise ValidationError("spectra must be non-negative to be normalized "
                          "as probability distributions (paper eq. 3)")
-    eps = SpectralEpsilon.get() if epsilon is None else float(epsilon)
     out_dtype = spectra.dtype if spectra.dtype == np.float32 else np.float64
     spectra = spectra.astype(out_dtype, copy=False)
     total = spectra.sum(axis=axis, keepdims=True)
     if np.any(total == 0):
         raise ValidationError("at least one spectrum sums to zero and cannot be "
                          "normalized; mask empty pixels before calling")
-    out = spectra / total
-    np.clip(out, eps, None, out=out)
-    return out
+    return spectra, total
 
 
 def normalize_image(cube: np.ndarray, *, epsilon: float | None = None) -> np.ndarray:

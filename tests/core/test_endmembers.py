@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import mei_reference, select_endmembers
 from repro.core.endmembers import dilation_candidates, smooth_cube
-from repro.errors import ShapeError
+from repro.errors import ShapeError, ValidationError
+from repro.spectral.normalize import normalize_spectra
 
 
 @pytest.fixture()
@@ -103,6 +104,33 @@ class TestSelection:
         dists = sid_pairwise(out.normalized)
         iu = np.triu_indices(3, 1)
         assert dists[iu].min() >= 0.01 * 0.99
+
+    @pytest.mark.parametrize("strategy", ("atgp", "sid"))
+    def test_normalized_rows_match_whole_image(self, planted, strategy):
+        """The chosen rows, normalized alone, equal the rows of the
+        whole-image normalization byte for byte."""
+        cube, morph = planted
+        smoothed = smooth_cube(cube, 1)
+        out = select_endmembers(cube, morph.mei, 4, strategy=strategy,
+                                smoothed=smoothed)
+        flat = smoothed.reshape(-1, 8)
+        idx = out.positions[:, 0] * 20 + out.positions[:, 1]
+        assert out.normalized.tobytes() == \
+            normalize_spectra(flat)[idx].tobytes()
+
+    @pytest.mark.parametrize("strategy", ("atgp", "sid"))
+    def test_whole_image_validated(self, planted, strategy):
+        """A pixel no strategy would choose still fails validation."""
+        cube, morph = planted
+        smoothed = smooth_cube(cube, 1)
+        smoothed[0, 0] = 0.0              # inside the border guard
+        with pytest.raises(ValidationError, match="sums to zero"):
+            select_endmembers(cube, morph.mei, 3, strategy=strategy,
+                              smoothed=smoothed)
+        smoothed[0, 0, 0] = -1.0
+        with pytest.raises(ValidationError, match="non-negative"):
+            select_endmembers(cube, morph.mei, 3, strategy=strategy,
+                              smoothed=smoothed)
 
     def test_unknown_strategy(self, planted):
         cube, morph = planted

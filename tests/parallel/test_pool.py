@@ -1,11 +1,12 @@
 """Tests for the worker pool (repro.parallel.pool) under its drivers.
 
-The pool's fallback, retry and profiling behaviours are exercised
-through :func:`~repro.parallel.parallel_morphological_stage`, the
-driver production runs; every result must equal the serial
+The pool's fallback, retry, reuse and profiling behaviours are
+exercised through :func:`~repro.parallel.parallel_morphological_stage`,
+the entry point production runs; every result must equal the serial
 whole-image stage bit for bit.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -17,10 +18,12 @@ from repro.core.mei import mei_reference
 from repro.errors import GpuOutOfMemoryError, StreamError, \
     TransientFaultError
 from repro.faults import FaultInjector, FaultSpec
-from repro.parallel import parallel_morphological_stage, resolve_workers
+from repro.parallel import parallel_morphological_stage, \
+    parallel_pixel_map, resolve_workers
 from repro.parallel import pool as pool_mod
 from repro.profiling import Profiler
 from repro.resilience import RetryPolicy
+from repro.spectral import SpectralEpsilon
 
 
 def _assert_matches(maps, whole):
@@ -42,20 +45,33 @@ class TestResolveWorkers:
             resolve_workers(-1)
 
 
+@pytest.fixture()
+def _no_idle_pools(monkeypatch):
+    """Hide the idle pools earlier tests left, so a job must create one
+    through ``_make_pool``."""
+    monkeypatch.setattr(pool_mod, "_IDLE", [])
+
+
 class TestFallback:
     def test_pool_unavailable_falls_back_to_serial(self, small_cube,
-                                                   monkeypatch):
+                                                   monkeypatch,
+                                                   _no_idle_pools):
         """A host without working pools still gets correct results."""
+        calls = []
+
         def broken_pool(*args, **kwargs):
+            calls.append(args)
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(pool_mod, "_make_pool", broken_pool)
         _assert_matches(parallel_morphological_stage(small_cube, 1,
                                                      n_workers=4),
                         mei_reference(small_cube, 1))
+        assert calls
 
     def test_pool_unavailable_records_recovery_event(self, small_cube,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     _no_idle_pools):
         monkeypatch.setattr(
             pool_mod, "_make_pool",
             lambda *a, **k: (_ for _ in ()).throw(OSError("nope")))
@@ -81,9 +97,10 @@ def _clean_faults():
 class TestResilience:
     """Injected faults must never change results — only the schedule.
 
-    The injector is installed in the parent; fork-based pool workers
-    inherit it, so worker-side execution sees the same fault plan.
-    ``small_cube`` has 10 lines; five chunks give 2 core lines each.
+    The injector is installed in the parent; every job ships the
+    parent's current injector to the pool, so worker-side execution
+    sees the same fault plan.  ``small_cube`` has 10 lines; five chunks
+    give 2 core lines each.
     """
 
     def test_worker_crash_recovers_bit_identical(self, small_cube,
@@ -206,3 +223,96 @@ class TestProfiling:
         for r in profiler.chunk_records:
             assert r.upload_s == 0.0 and r.download_s == 0.0
             assert r.compute_s > 0.0
+
+
+def _band_stride(sub):
+    """Per-pixel map kernel: the band stride the worker sees."""
+    return np.full(sub.shape[:2], sub.strides[2])
+
+
+def _pool_workers() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _chunk_workers(profiler: Profiler) -> set[int]:
+    return {r.worker for r in profiler.chunk_records}
+
+
+class TestLongLivedPool:
+    def test_jobs_reuse_one_pool(self, small_cube):
+        """A second job runs on the workers the first one left idle."""
+        parallel_morphological_stage(small_cube, 1, n_workers=2)
+        existing = _pool_workers()
+        profiler = Profiler()
+        maps = parallel_morphological_stage(small_cube, 1, n_workers=2,
+                                            n_chunks=4, profiler=profiler)
+        _assert_matches(maps, mei_reference(small_cube, 1))
+        assert os.getpid() not in _chunk_workers(profiler)
+        assert _chunk_workers(profiler) <= existing
+
+    def test_pool_that_lost_a_task_is_dropped(self, small_cube,
+                                              _clean_faults):
+        """A stalled chunk's workers are terminated, not reused."""
+        faults.install(FaultInjector(
+            [FaultSpec(kind="timeout", index=0, attempt=0, sleep_s=20.0)]))
+        profiler = Profiler()
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=2, n_chunks=4, profiler=profiler,
+            policy=RetryPolicy(chunk_timeout_s=1.0))
+        _assert_matches(maps, mei_reference(small_cube, 1))
+        pool_side = _chunk_workers(profiler) - {os.getpid()}
+        assert pool_side
+        assert not pool_side & _pool_workers()
+
+    def test_workers_see_the_callers_strides(self, small_cube):
+        """A band-sequential cube viewed as BIP keeps its strides in the
+        workers: the job segment does not make it C-contiguous."""
+        bip = np.ascontiguousarray(small_cube.transpose(2, 0, 1)) \
+            .transpose(1, 2, 0)
+        strides = parallel_pixel_map(bip, _band_stride, n_workers=2)
+        assert (strides == bip.strides[2]).all()
+        assert bip.strides[2] != bip.itemsize
+
+
+class TestJobSettings:
+    """Process-wide settings changed after a pool exists reach its
+    workers with the next job, bit-identical to the serial run."""
+
+    @pytest.fixture(autouse=True)
+    def _pool_exists(self, small_cube, _clean_faults):
+        parallel_morphological_stage(small_cube, 1, n_workers=2)
+
+    def _retried_in_pool(self, small_cube) -> bool:
+        profiler = Profiler()
+        maps = parallel_morphological_stage(
+            small_cube, 1, n_workers=2, profiler=profiler,
+            policy=RetryPolicy(max_retries=1))
+        _assert_matches(maps, mei_reference(small_cube, 1))
+        (record,) = [r for r in profiler.chunk_records if r.index == 1]
+        assert record.worker != os.getpid()
+        return record.retries == 1
+
+    def test_installed_injector(self, small_cube):
+        faults.install(FaultInjector(
+            [FaultSpec(kind="transient", index=1, attempt=0)]))
+        assert self._retried_in_pool(small_cube)
+        faults.uninstall()
+        assert not self._retried_in_pool(small_cube)
+
+    def test_environment_injector(self, small_cube, monkeypatch):
+        monkeypatch.setenv(faults.ENV_VAR, FaultInjector(
+            [FaultSpec(kind="transient", index=1, attempt=0)]).to_json())
+        assert self._retried_in_pool(small_cube)
+        monkeypatch.delenv(faults.ENV_VAR)
+        assert not self._retried_in_pool(small_cube)
+
+    def test_spectral_epsilon(self, small_cube):
+        default = mei_reference(small_cube, 1)
+        SpectralEpsilon.set(0.05)
+        try:
+            whole = mei_reference(small_cube, 1)
+            maps = parallel_morphological_stage(small_cube, 1, n_workers=2)
+        finally:
+            SpectralEpsilon.reset()
+        assert not np.array_equal(whole.mei, default.mei)
+        _assert_matches(maps, whole)

@@ -2,9 +2,10 @@
 
 Each layer runs one production path; the historical evaluators survive
 only as oracles this file calls directly.  The reference backend is
-compared against the all-pairs loop (:func:`repro.core.mei.mei_all_pairs`)
-— serial, chunk-parallel, and chunk-parallel under injected faults,
-where a retried chunk must reproduce its first attempt exactly.
+compared against the all-pairs loop (:func:`repro.core.mei.mei_all_pairs`),
+run as a registered backend — serial, chunk-parallel, and
+chunk-parallel under injected faults, where a retried chunk must
+reproduce its first attempt exactly.
 The GPU backend is compared against the recursive shader evaluator
 (:func:`repro.gpu.interpreter.execute`) with clamped-index gather
 fetches.  The contract is *byte* identity: every result array must hash
@@ -12,12 +13,17 @@ the same under sha256.
 """
 
 import hashlib
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import faults
+from repro.backends import MorphologicalBackend, MorphologyResult, \
+    register_backend, unregister_backend
 from repro.core import AMCConfig, run_amc
+from repro.core.mei import mei_all_pairs
 from repro.core.shifts import clamped_shift
 from repro.faults import FaultInjector, FaultSpec
 from repro.hsi import SceneParams, generate_scene
@@ -51,18 +57,28 @@ def _clean_faults():
     faults.set_attempt(0)
 
 
-def _all_pairs_oracle(patch):
-    """Route the reference backend through the all-pairs loop.
+class AllPairsBackend(MorphologicalBackend):
+    """The reference stage through the all-pairs oracle loop.
 
-    The backend imports ``mei_reference`` at call time and pool workers
-    are forked, so the substitution reaches every chunk.
+    A backend instance reaches pool workers by pickling (by reference:
+    the class is module-level), so chunk-parallel runs execute the
+    oracle in every worker — a monkeypatch in the parent would not.
     """
-    import repro.core.mei as mei_mod
 
-    def all_pairs(bip, radius):
-        return mei_mod.mei_all_pairs(bip, radius)[0]
+    name = "all-pairs"
 
-    patch.setattr(mei_mod, "mei_reference", all_pairs)
+    def run(self, bip, radius, *, spec=None, device=None):
+        out = mei_all_pairs(bip, radius)[0]
+        return MorphologyResult(mei=out.mei,
+                                erosion_index=out.erosion_index,
+                                dilation_index=out.dilation_index)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _all_pairs_backend():
+    register_backend(AllPairsBackend())
+    yield
+    unregister_backend(AllPairsBackend.name)
 
 
 def _recursive_oracle(patch):
@@ -86,12 +102,12 @@ class TestAmcIdentity:
                                   monkeypatch):
         config = AMCConfig(n_classes=3, backend=backend, se_radius=radius)
         fused = run_amc(cube, config)
-        with monkeypatch.context() as patch:
-            if backend == "reference":
-                _all_pairs_oracle(patch)
-            else:
+        if backend == "reference":
+            oracle = run_amc(cube, replace(config, backend="all-pairs"))
+        else:
+            with monkeypatch.context() as patch:
                 _recursive_oracle(patch)
-            oracle = run_amc(cube, config)
+                oracle = run_amc(cube, config)
         assert _sha256(fused.labels, fused.mei, fused.abundances) == \
             _sha256(oracle.labels, oracle.mei, oracle.abundances)
         np.testing.assert_array_equal(fused.erosion_index,
@@ -99,13 +115,10 @@ class TestAmcIdentity:
         np.testing.assert_array_equal(fused.dilation_index,
                                       oracle.dilation_index)
 
-    def test_parallel_fused_matches_serial_oracle(self, cube,
-                                                  monkeypatch):
+    def test_parallel_fused_matches_serial_oracle(self, cube):
         """Chunked execution stays bit-identical to the serial
         all-pairs oracle."""
-        with monkeypatch.context() as patch:
-            _all_pairs_oracle(patch)
-            oracle = run_amc(cube, AMCConfig(n_classes=3))
+        oracle = run_amc(cube, AMCConfig(n_classes=3, backend="all-pairs"))
         profiler = Profiler()
         fused = run_amc(cube, AMCConfig(n_classes=3, n_workers=2),
                         profiler=profiler)
@@ -130,14 +143,11 @@ class TestAmcIdentity:
 
 
 class TestChaosRetryIdentity:
-    def test_retried_chunk_matches_oracle(
-            self, cube, _clean_faults, monkeypatch):
+    def test_retried_chunk_matches_oracle(self, cube, _clean_faults):
         """A fault-injected chunk retry recomputes its chunk from
         scratch; the stitched result matches the serial oracle byte for
         byte."""
-        with monkeypatch.context() as patch:
-            _all_pairs_oracle(patch)
-            serial = run_amc(cube, AMCConfig(n_classes=3))
+        serial = run_amc(cube, AMCConfig(n_classes=3, backend="all-pairs"))
 
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=0, attempt=0)]))
@@ -151,18 +161,24 @@ class TestChaosRetryIdentity:
         assert retried and retried[0].retries >= 1
 
     def test_retry_identity_holds_for_oracle_mode_too(
-            self, cube, _clean_faults, monkeypatch):
+            self, cube, _clean_faults):
         """The all-pairs oracle under the same chaos run matches the
         production serial path: retries change code paths, never
-        results."""
+        results.  The oracle runs in the pool workers, and the retried
+        chunk stayed in the pool."""
         serial = run_amc(cube, AMCConfig(n_classes=3))
-        _all_pairs_oracle(monkeypatch)
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=1, attempt=0)]))
+        profiler = Profiler()
         chaos = run_amc(cube,
-                        AMCConfig(n_classes=3, n_workers=2, max_retries=1))
+                        AMCConfig(n_classes=3, backend="all-pairs",
+                                  n_workers=2, max_retries=1),
+                        profiler=profiler)
         assert _sha256(chaos.labels, chaos.mei) == \
             _sha256(serial.labels, serial.mei)
+        retried = [r for r in profiler.chunk_records if r.index == 1]
+        assert retried and retried[0].retries == 1
+        assert retried[0].worker != os.getpid()
 
 
 class TestDetectionReductionIdentity:
