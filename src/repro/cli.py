@@ -80,29 +80,22 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _load_scene(path: str):
     """Read one ENVI cube plus its optional ``.gt.npy`` ground truth."""
-    from repro.hsi.envi import read_cube
+    from repro.hsi.envi import read_scene
 
-    cube = read_cube(path)
+    cube, ground_truth = read_scene(path)
     print(f"loaded {cube}")
-    ground_truth = None
-    try:
-        ground_truth = np.load(path + ".gt.npy")
+    if ground_truth is not None:
         print("found ground truth; accuracy will be reported")
-    except FileNotFoundError:
-        pass
     return cube, ground_truth
 
 
 def _write_outputs(result, path: str) -> None:
     """Write one cube's MEI image and classification map next to it."""
-    from repro.viz import write_class_map_ppm, write_pgm
+    from repro.viz import write_result_maps
 
-    mei_path = write_pgm(result.mei, path + ".mei.pgm")
-    cls_path = write_class_map_ppm(
-        result.labels, path + ".classes.ppm",
-        n_classes=int(result.labels.max()))
-    print(f"MEI image:          {mei_path}")
-    print(f"classification map: {cls_path}")
+    written = write_result_maps(result, path)
+    print(f"MEI image:          {written['mei']}")
+    print(f"classification map: {written['classes']}")
     if result.report is not None:
         print(f"overall accuracy:   "
               f"{result.report.overall_accuracy:.2f}%  "
@@ -226,6 +219,7 @@ def _print_profile(profiler, destination) -> None:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     """Run a detection workload (SAM/CEM/RX) on an ENVI cube."""
+    from repro.errors import ReproError
     from repro.viz import write_pgm
     from repro.workloads import get_workload
 
@@ -234,24 +228,16 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     params = {"regularization": args.regularization, **_knob_params(args)}
     if args.max_alarms is not None:
         params["max_alarms"] = args.max_alarms
-    mask = None
-    if args.target_class is not None:
-        if ground_truth is None:
-            print("--target-class needs a ground-truth sidecar "
-                  f"({args.path}.gt.npy)", file=sys.stderr)
-            return 2
-        mask = ground_truth == args.target_class
-        if not mask.any():
-            print(f"ground truth has no pixels of class "
-                  f"{args.target_class}", file=sys.stderr)
-            return 2
-        if wl.requires_target:
-            spectrum = cube.as_bip()[mask].mean(axis=0)
-            params["target"] = tuple(float(v) for v in spectrum)
-    elif wl.requires_target:
+    if args.target_class is None and wl.requires_target:
         print(f"--algo {wl.name} needs a target spectrum: pass "
               f"--target-class K (with a .gt.npy sidecar)",
               file=sys.stderr)
+        return 2
+    try:
+        params, mask = wl.adapt_sidecar(cube, ground_truth, params,
+                                        args.target_class)
+    except ReproError as exc:
+        print(f"--target-class: {exc}", file=sys.stderr)
         return 2
     profiler = None
     if args.profile is not None:

@@ -209,3 +209,14 @@ def read_cube(path: str, *, mmap: bool = False) -> HyperCube:
     return HyperCube(data, interleave=header.interleave,
                      wavelengths_nm=header.wavelengths_nm,
                      name=header.description or os.path.basename(path))
+
+
+def read_scene(path: str) -> tuple[HyperCube, np.ndarray | None]:
+    """Read a cube plus its optional ``<path>.gt.npy`` ground-truth
+    sidecar (``None`` when there is none)."""
+    cube = read_cube(path)
+    try:
+        ground_truth = np.load(path + ".gt.npy")
+    except FileNotFoundError:
+        ground_truth = None
+    return cube, ground_truth

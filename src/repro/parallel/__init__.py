@@ -17,6 +17,12 @@ worker pool, producing results bit-identical to serial execution:
   machinery (0 = all cores; serial in-process fallback when the pool is
   unavailable or pointless).
 
+Both stages are one chunk driver,
+:func:`repro.parallel.map.run_chunked` — chunk plan, chunk task (the
+``"chunk"`` fault site and the chunk record), OOM re-plan and
+plan-order collection — with a different per-chunk function plugged
+in.
+
 See ``docs/parallel.md`` for the architecture and the correctness
 argument.
 """

@@ -4,9 +4,10 @@ The morphological stage dominates AMC's runtime (paper Table 4/5: it is
 *the* stage worth porting to the GPU), and it is local: every output
 pixel depends only on its SE neighbourhood, so the line-wise chunk plan
 of :mod:`repro.hsi.chunking` with ``halo = se_radius`` splits the image
-into fully independent pieces.  This module fans those pieces out over
-the worker pool machinery of :mod:`repro.parallel.pool` and stitches
-MEI / erosion / dilation maps bit-identically to whole-image execution:
+into fully independent pieces.  This module fans those pieces out
+through the chunk driver :func:`repro.parallel.map.run_chunked` and
+stitches MEI / erosion / dilation maps bit-identically to whole-image
+execution:
 
 * normalization is per-pixel (each pixel vector sums to 1), so it
   commutes with chunking;
@@ -30,54 +31,29 @@ device work, not the parallel makespan).
 
 from __future__ import annotations
 
-import os
-import time
-from typing import NamedTuple
-
 import numpy as np
 
-from repro.backends import MorphologicalBackend, get_backend
+from repro.backends import get_backend
 from repro.core.pairreuse import sum_reuse_counters
-from repro.errors import GpuOutOfMemoryError, ShapeError
-from repro.faults import maybe_inject
 from repro.gpu.spec import GEFORCE_7800GTX, GpuSpec
-from repro.hsi.chunking import plan_chunks_by_lines
-from repro.parallel.pool import record_outcome, resolve_workers, run_tasks
-from repro.profiling.profiler import ChunkRecord, Profiler
+from repro.parallel.map import as_cube, run_chunked
+# Only perfbench/layers.py needs this name: it wraps it by name.
+from repro.parallel.pool import run_tasks  # noqa: F401
+from repro.profiling.profiler import Profiler
 from repro.resilience import RetryPolicy
 
 
-class _MorphJob(NamedTuple):
-    """One stage run's state, as each worker holds it."""
-
-    bip: np.ndarray
-    radius: int
-    backend: MorphologicalBackend
-    spec: GpuSpec
-    maps: tuple            # (mei, erosion, dilation), filled by core rows
-
-
-def _morph_chunk(job: _MorphJob, chunk):
+def _morph_run(sub: np.ndarray, chunk, radius: int, backend, spec: GpuSpec,
+               maps: tuple):
     """Run the morphological stage on one chunk's extended region and
-    write its core rows into the job's maps."""
-    maybe_inject("chunk", index=chunk.index, ext_lines=chunk.ext_lines)
-    sub = job.bip[chunk.ext_start:chunk.ext_stop]
-    start = time.perf_counter()
-    piece = job.backend.run_chunk(sub, job.radius, spec=job.spec)
-    wall = time.perf_counter() - start
-    if piece.split is None:
-        upload, compute, download = 0.0, wall, 0.0
-    else:
-        upload, compute, download = piece.split
-    record = ChunkRecord(index=chunk.index, core_lines=chunk.core_lines,
-                         ext_lines=chunk.ext_lines, halo=job.radius,
-                         wall_s=wall, upload_s=upload, compute_s=compute,
-                         download_s=download, worker=os.getpid())
+    write its core rows into ``maps`` (mei, erosion, dilation); returns
+    ``((accounting, stats), split)``."""
+    piece = backend.run_chunk(sub, radius, spec=spec)
     core = slice(chunk.core_start, chunk.core_stop)
-    for out, full in zip(job.maps, (piece.mei, piece.erosion_index,
-                                    piece.dilation_index)):
+    for out, full in zip(maps, (piece.mei, piece.erosion_index,
+                                piece.dilation_index)):
         out[core] = chunk.core_of(full)
-    return record, piece.accounting, piece.stats
+    return (piece.accounting, piece.stats), piece.split
 
 
 def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
@@ -130,56 +106,24 @@ def parallel_morphological_stage(bip: np.ndarray, radius: int = 1, *,
         :class:`~repro.core.amc_gpu.GpuAmcOutput` for device backends,
         else ``None``.
     """
-    bip = np.asarray(bip)
-    if bip.ndim != 3:
-        raise ShapeError(f"expected (H, W, N), got ndim={bip.ndim}")
+    bip = as_cube(bip)
     backend = get_backend(backend)
-    lines, samples, bands = bip.shape
-    workers = resolve_workers(n_workers)
-    pieces = workers if n_chunks is None else int(n_chunks)
-    pieces = max(1, min(pieces, lines))
-    core_lines = -(-lines // pieces)               # ceil division
+    lines, samples, _ = bip.shape
     maps = (np.empty((lines, samples), dtype=backend.mei_dtype),
             np.empty((lines, samples), dtype=np.int64),
             np.empty((lines, samples), dtype=np.int64))
-    while True:
-        plan = plan_chunks_by_lines(lines, samples, bands,
-                                    max_ext_lines=core_lines + 2 * radius,
-                                    halo=radius)
-        try:
-            results = run_tasks(plan, _morph_chunk, _MorphJob,
-                                (bip, radius, backend, gpu_spec, maps),
-                                workers, outputs=maps, policy=policy,
-                                profiler=profiler)
-            break
-        except GpuOutOfMemoryError as exc:
-            if core_lines <= 1:
-                raise
-            smaller = max(1, core_lines // 2)
-            if profiler is not None:
-                detail = f"core lines per chunk {core_lines} -> {smaller}"
-                if exc.requested is not None:
-                    detail += (f" (requested={exc.requested}, "
-                               f"free={exc.free})")
-                profiler.record_event("oom_degrade", detail)
-            core_lines = smaller
-
-    mei, erosion, dilation = maps
-    accountings = []
-    stats_dicts = []
-    for index, outcome in enumerate(results):
-        record, accounting, stats = outcome.value
-        record_outcome(profiler, outcome, index, record)
-        if accounting is not None:
-            accountings.append(accounting)
-        if stats is not None:
-            stats_dicts.append(stats)
-
+    values = run_chunked(bip, _morph_run,
+                         (radius, backend, gpu_spec, maps), halo=radius,
+                         n_workers=n_workers, n_chunks=n_chunks,
+                         outputs=maps, profiler=profiler, policy=policy)
+    accountings = [acc for acc, _ in values if acc is not None]
+    stats_dicts = [stats for _, stats in values if stats is not None]
     if profiler is not None and stats_dicts:
         # Sum the per-chunk shift-reuse counters into the morphology
         # stage record (the ratio is recomputed from the summed totals).
         profiler.record_stage_counters("morphology",
                                        sum_reuse_counters(stats_dicts))
+    mei, erosion, dilation = maps
     gpu_output = backend.stitched_accounting(mei, erosion, dilation,
                                              radius, accountings)
     return mei, erosion, dilation, gpu_output

@@ -7,8 +7,8 @@ independence is exactly what the related streaming literature exploits
 ("the streaming decomposition makes the workload embarrassingly
 parallel").  :func:`run_tasks` cashes it in on the host: it maps a
 per-chunk function over the plan through a :mod:`multiprocessing` pool,
-and its callers (:mod:`repro.parallel.amc`, :mod:`repro.parallel.map`,
-:mod:`repro.pipeline.batch`) stitch the results in plan order,
+and its callers (the chunk driver :func:`repro.parallel.map.run_chunked`
+and :mod:`repro.pipeline.batch`) stitch the results in plan order,
 producing results **identical** to serial execution — same chunk
 geometry, same per-chunk arithmetic, only the schedule differs.
 
@@ -26,13 +26,15 @@ Design notes
   never serves another job.  Idle pools are closed at interpreter exit.
 * A job's state travels once, through one
   :mod:`multiprocessing.shared_memory` segment: the pickled
-  ``(func, initializer, initargs)`` plus the caller's process-wide
-  settings (the resolved fault injector and the spectral epsilon), with
+  ``(func, initializer, initargs)``, the retry policy and the caller's
+  process-wide settings (the resolved fault injector and the spectral
+  epsilon), with
   every array stored out of band *at its original strides and
   alignment* — numpy's reductions are layout-sensitive at the last bit.
-  Each task message is the segment name and one task; a worker builds
-  the job's state (``initializer(*initargs)``) on its first task of
-  the job and keeps it until the next job arrives.
+  Each task message is the segment name, the task's index and the
+  task; a worker builds the job's state (``initializer(*initargs)``)
+  on its first task of the job and keeps it until the next job
+  arrives, and runs each task under the policy's retry loop.
 * ``outputs`` are arrays among ``initargs`` that tasks fill in place:
   workers write into their copies in the segment, which are copied
   back into the caller's arrays when the job ends, so bulk results
@@ -41,9 +43,6 @@ Design notes
   take the same in-process code path — the fallback is the *identical*
   per-task function on the caller's own arrays, so correctness never
   depends on the pool.
-* :func:`record_outcome` puts each chunk's
-  :class:`~repro.profiling.profiler.ChunkRecord` and retry event on the
-  caller's profiler.
 
 Fault tolerance (:mod:`repro.resilience`) rides the same independence:
 tasks are retried per the caller's :class:`~repro.resilience.RetryPolicy`
@@ -62,7 +61,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-from dataclasses import replace
 from functools import partial
 from multiprocessing import forkserver, resource_tracker, shared_memory, util
 
@@ -70,7 +68,7 @@ import numpy as np
 
 from repro import faults
 from repro.errors import StreamError
-from repro.profiling.profiler import ChunkRecord, Profiler
+from repro.profiling.profiler import Profiler
 from repro.resilience import RetryPolicy, TaskOutcome, collect_async, \
     run_with_retry
 from repro.spectral.normalize import SpectralEpsilon
@@ -262,12 +260,14 @@ def _unpack(segment):
 
 # -- worker side ---------------------------------------------------------
 
-# The job this worker process holds: (segment name, segment, func, state).
+# The job this worker process holds:
+# (segment name, segment, func, state, policy).
 _JOB: tuple | None = None
 
 
 def _adopt(name: str):
-    """Attach job ``name`` (once per worker) and return ``(func, state)``.
+    """Attach job ``name`` (once per worker); returns ``(func, state,
+    policy)``.
 
     The previous job's state is dropped and its segment detached first.
     The job's settings replace the worker's own: the fault injector the
@@ -276,28 +276,30 @@ def _adopt(name: str):
     """
     global _JOB
     if _JOB is not None and _JOB[0] == name:
-        return _JOB[2], _JOB[3]
+        return _JOB[2:]
     if _JOB is not None:
         segment = _JOB[1]
         _JOB = None
         segment.close()
     segment = shared_memory.SharedMemory(name=name)
-    func, initializer, initargs, injector, epsilon = _unpack(segment)
+    func, initializer, initargs, policy, injector, epsilon = \
+        _unpack(segment)
     os.environ.pop(faults.ENV_VAR, None)
     if injector is None:
         faults.uninstall()
     else:
         faults.install(injector)
     SpectralEpsilon.set(epsilon)
-    _JOB = (name, segment, func, initializer(*initargs))
-    return _JOB[2], _JOB[3]
+    _JOB = (name, segment, func, initializer(*initargs), policy)
+    return _JOB[2:]
 
 
-def _job_task(named_task):
-    """Worker-side entry: run one task of the job ``named_task`` names."""
-    name, task = named_task
-    func, state = _adopt(name)
-    return func(state, task)
+def _job_task(name: str, index: int, task) -> TaskOutcome:
+    """Worker-side entry: run task ``index`` of job ``name`` under the
+    job's retry loop."""
+    func, state, policy = _adopt(name)
+    return run_with_retry(partial(func, state), task, index=index,
+                          policy=policy)
 
 
 # -- parent side ---------------------------------------------------------
@@ -312,15 +314,14 @@ def _run_on_pool(processes: int, tasks, func, initializer, initargs,
     pool is terminated instead.
     """
     segment, slots = _pack(
-        (func, initializer, initargs, faults.current_injector(),
+        (func, initializer, initargs, policy, faults.current_injector(),
          SpectralEpsilon.get()), outputs)
     try:
         pool = _checkout(processes)
         healthy = False
         try:
             outcomes, failures = collect_async(
-                pool, _job_task, [(segment.name, task) for task in tasks],
-                policy)
+                pool, partial(_job_task, segment.name), tasks, policy)
             healthy = not any(isinstance(exc, multiprocessing.TimeoutError)
                               for exc in failures.values())
         finally:
@@ -419,22 +420,3 @@ def run_tasks(tasks, func, initializer, initargs, n_workers: int, *,
     for index, outcome in recovered.items():
         outcomes[index] = outcome
     return outcomes
-
-
-def record_outcome(profiler: Profiler | None, outcome: TaskOutcome,
-                   index: int, record: ChunkRecord) -> None:
-    """Put one chunk's profile record, and its retry event, on ``profiler``.
-
-    The shared bookkeeping of every chunked runner: a chunk that took
-    extra attempts gets them on its :class:`ChunkRecord` and a
-    ``"retry"`` event (noting an in-process recovery) before the record.
-    """
-    if profiler is None:
-        return
-    if outcome.retries:
-        record = replace(record, retries=outcome.retries)
-        profiler.record_event(
-            "retry", f"chunk took {outcome.retries} extra attempt(s)"
-            + (" (recovered in-process)" if outcome.recovered else ""),
-            chunk_index=index)
-    profiler.record_chunk(record)

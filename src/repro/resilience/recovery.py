@@ -13,33 +13,26 @@ per-task async dispatch plus a per-task deadline, and reports exactly
 
 from __future__ import annotations
 
-from repro.resilience.retry import RetryPolicy, TaskOutcome, run_with_retry
-
-
-def _pool_task(payload):
-    """Worker-side entry: unwrap the payload and run the retry loop.
-
-    Module-level (not a closure) so it pickles by reference into pool
-    workers; the payload carries the actual task function.
-    """
-    func, task, index, policy = payload
-    return run_with_retry(func, task, index=index, policy=policy)
+from repro.resilience.retry import RetryPolicy, TaskOutcome
 
 
 def collect_async(pool, func, tasks, policy: RetryPolicy):
-    """Dispatch ``func`` over ``tasks`` on ``pool``; collect what survives.
+    """Dispatch ``tasks`` on ``pool``; collect what survives.
 
-    Every task is submitted with ``apply_async`` and collected with the
-    policy's per-task deadline.  Returns ``(outcomes, failures)`` where
-    ``outcomes`` maps task index to :class:`TaskOutcome` and
-    ``failures`` maps the indices that produced no result to the
-    exception that explains why (``multiprocessing.TimeoutError`` for a
-    lost/stalled task, or whatever the worker raised).  Nothing is
+    ``func(index, task)`` is the worker-side entry: it must pickle and
+    return the task's :class:`TaskOutcome`, running the policy's retry
+    loop itself.  Every task is submitted with ``apply_async`` and
+    collected with the policy's per-task deadline.  Returns
+    ``(outcomes, failures)`` where ``outcomes`` maps task index to
+    :class:`TaskOutcome` and ``failures`` maps the indices that produced
+    no result to the exception that explains why
+    (``multiprocessing.TimeoutError`` for a lost/stalled task, or
+    whatever the worker raised).  Nothing is
     raised from here — routing *every* failure to the caller's
     in-process recovery gives genuine errors a clean parent-side
     traceback and transient ones a second life, through one code path.
     """
-    handles = [pool.apply_async(_pool_task, ((func, task, index, policy),))
+    handles = [pool.apply_async(func, (index, task))
                for index, task in enumerate(tasks)]
     outcomes: dict[int, TaskOutcome] = {}
     failures: dict[int, BaseException] = {}

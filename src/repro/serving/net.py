@@ -43,11 +43,11 @@ import json
 import os
 import socket
 
-import numpy as np
-
 from repro.errors import ReproError, ServerBusyError, ServingError
+from repro.hsi.envi import read_scene
 from repro.serving import jobs as jobstates
 from repro.serving.server import AMCServer
+from repro.viz import write_result_maps
 from repro.workloads import get_workload
 
 #: Protocol operations the front end understands.
@@ -159,12 +159,12 @@ class UnixSocketFrontend:
         path = payload["cube"]
         loop = asyncio.get_running_loop()
         cube, ground_truth = await loop.run_in_executor(
-            None, _load_scene, path)
+            None, read_scene, path)
         workload = payload.get("workload")
         wl = (self.server.default_workload if workload is None
               else get_workload(workload))
-        params, ground_truth = _adapt_request(
-            wl, cube, ground_truth, payload.get("params"),
+        params, ground_truth = wl.adapt_sidecar(
+            cube, ground_truth, payload.get("params"),
             payload.get("target_class"))
         job = await self.server.submit(cube, params, workload=wl,
                                        ground_truth=ground_truth)
@@ -180,7 +180,7 @@ class UnixSocketFrontend:
                     f"its outputs could be written")
             if hasattr(result, "labels"):
                 outputs = await loop.run_in_executor(
-                    None, _write_outputs, result, path)
+                    None, write_result_maps, result, path)
         response = self._job_response(
             job.job_id, job.status(),
             with_profile=payload.get("profile", False))
@@ -196,61 +196,6 @@ class UnixSocketFrontend:
             response["profile"] = (None if report is None
                                    else report.to_dict())
         return response
-
-
-def _adapt_request(workload, cube, ground_truth, params, target_class):
-    """Shape a wire request's sidecar for its workload.
-
-    ``target_class`` turns the label-map sidecar into detection
-    inputs: the class's mean spectrum becomes the target parameter
-    (when the workload requires one) and its footprint becomes the
-    evaluation mask.  Without it, the sidecar is forwarded only to
-    classify workloads — every other kind interprets ground truth
-    differently (or not at all), and a label map is neither.
-    """
-    if target_class is None:
-        if ground_truth is not None and workload.kind != "classify":
-            ground_truth = None
-        return params, ground_truth
-    if ground_truth is None:
-        raise ReproError(
-            f"target_class={target_class} needs a ground-truth sidecar "
-            f"(<cube>.gt.npy) to derive the target from")
-    from repro.core.amc import _as_bip
-
-    mask = np.asarray(ground_truth) == int(target_class)
-    if not mask.any():
-        raise ReproError(f"ground truth has no pixels of class "
-                         f"{int(target_class)}")
-    if workload.requires_target:
-        params = dict(params or {})
-        spectrum = _as_bip(cube)[mask].mean(axis=0)
-        params.setdefault("target", tuple(float(v) for v in spectrum))
-    return params, mask
-
-
-def _load_scene(path: str):
-    """Load an ENVI cube plus its optional ``.gt.npy`` sidecar."""
-    from repro.hsi.envi import read_cube
-
-    cube = read_cube(path)
-    try:
-        ground_truth = np.load(path + ".gt.npy")
-    except FileNotFoundError:
-        ground_truth = None
-    return cube, ground_truth
-
-
-def _write_outputs(result, path: str) -> dict:
-    """Write the MEI image and class map next to the cube (server side)."""
-    from repro.viz import write_class_map_ppm, write_pgm
-
-    return {
-        "mei": write_pgm(result.mei, path + ".mei.pgm"),
-        "classes": write_class_map_ppm(
-            result.labels, path + ".classes.ppm",
-            n_classes=int(result.labels.max())),
-    }
 
 
 # -- the blocking client -------------------------------------------------

@@ -12,6 +12,7 @@ from repro.viz.pnm import (
     write_class_map_ppm,
     write_pgm,
     write_ppm,
+    write_result_maps,
 )
 
 __all__ = [
@@ -20,4 +21,5 @@ __all__ = [
     "write_class_map_ppm",
     "write_pgm",
     "write_ppm",
+    "write_result_maps",
 ]

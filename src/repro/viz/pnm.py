@@ -91,3 +91,18 @@ def write_class_map_ppm(labels: np.ndarray, path: str, *,
             f"labels outside [0, {n_classes}] cannot be colour-mapped")
     palette = class_palette(max(n_classes, 1))
     return write_ppm(palette[labels], path)
+
+
+def write_result_maps(result, path: str) -> dict[str, str]:
+    """Write a classification result's MEI image and class map.
+
+    They go next to the cube at ``path``, as ``<path>.mei.pgm`` and
+    ``<path>.classes.ppm``; returns the written paths as
+    ``{"mei": ..., "classes": ...}``.
+    """
+    return {
+        "mei": write_pgm(result.mei, path + ".mei.pgm"),
+        "classes": write_class_map_ppm(
+            result.labels, path + ".classes.ppm",
+            n_classes=int(result.labels.max())),
+    }

@@ -28,11 +28,7 @@ registering a new algorithm.
 """
 
 from repro.workloads.amc import AMCWorkload
-from repro.workloads.base import (
-    DEFAULT_EXECUTION_KNOBS,
-    Workload,
-    run_pixel_kernel,
-)
+from repro.workloads.base import DEFAULT_EXECUTION_KNOBS, Workload
 from repro.workloads.detection import (
     DETECTION_STAGE_NAMES,
     CemWorkload,
@@ -83,7 +79,6 @@ __all__ = [
     "get_workload",
     "project_components",
     "register_workload",
-    "run_pixel_kernel",
     "sam_scores",
     "unregister_workload",
     "workload_names",

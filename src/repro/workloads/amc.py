@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.core.amc import AMCConfig, AMCResult
-from repro.pipeline.amc import build_amc_pipeline
+from repro.pipeline.amc import AMC_STAGE_NAMES, build_amc_pipeline
 from repro.pipeline.runner import Pipeline
 from repro.profiling.profiler import Profiler
 from repro.workloads.base import Workload
@@ -33,8 +33,7 @@ class AMCWorkload(Workload):
 
     name = "amc"
     kind = "classify"
-    stage_names = ("morphology", "endmembers", "unmixing",
-                   "classification", "evaluation")
+    stage_names = AMC_STAGE_NAMES
     config_type = AMCConfig
 
     def build_pipeline(self) -> Pipeline:

@@ -33,6 +33,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.pipeline.runner import Pipeline
 from repro.profiling.profiler import Profiler
 
@@ -43,29 +44,6 @@ from repro.profiling.profiler import Profiler
 #: statically.
 DEFAULT_EXECUTION_KNOBS = frozenset(
     {"n_workers", "max_retries", "chunk_timeout_s"})
-
-
-def run_pixel_kernel(bip: np.ndarray, kernel, payload, *, config,
-                     halo: int = 0, profiler: Profiler | None = None
-                     ) -> np.ndarray:
-    """Run a per-pixel kernel serially or chunk-parallel, bit-identically.
-
-    The one place a workload stage decides between the whole-image
-    serial path (``kernel(bip, *payload)``) and the chunk-parallel
-    fan-out (:func:`~repro.parallel.parallel_pixel_map`, with the
-    config's retry policy and the caller's profiler).  ``n_workers=1``
-    means serial; anything else — including 0 = all cores — goes
-    through the pool.
-    """
-    if config.n_workers != 1:
-        # import deferred: repro.parallel sits above this package
-        from repro.parallel import parallel_pixel_map
-
-        return parallel_pixel_map(bip, kernel, payload, halo=halo,
-                                  n_workers=config.n_workers,
-                                  profiler=profiler,
-                                  policy=config.retry_policy())
-    return np.asarray(kernel(bip, *payload))
 
 
 class Workload:
@@ -169,6 +147,41 @@ class Workload:
                 f"cube has a zero-sized dimension (shape "
                 f"{tuple(bip.shape)}); nothing to process")
         return check_finite_cube(bip)
+
+    def adapt_sidecar(self, cube, ground_truth, params, target_class):
+        """Shape a cube's label-map sidecar into this workload's inputs;
+        returns ``(params, ground_truth)``.
+
+        ``target_class`` turns the label map into detection inputs: the
+        class's footprint becomes the evaluation mask and, when the
+        workload :attr:`requires_target`, the class's mean spectrum
+        becomes the ``target`` parameter.  Without it, only classify
+        workloads keep the label map — every other kind interprets
+        ground truth differently (or not at all), and a label map is
+        neither.  A missing sidecar or an empty class is a
+        :class:`~repro.errors.ReproError`.
+        """
+        if target_class is None:
+            if self.kind != "classify":
+                ground_truth = None
+            return params, ground_truth
+        target_class = int(target_class)
+        if ground_truth is None:
+            raise ReproError(
+                f"target class {target_class} needs a ground-truth "
+                f"sidecar (<cube>.gt.npy) to derive the target from")
+        # import deferred: repro.core sits beside this package
+        from repro.core.amc import _as_bip
+
+        mask = np.asarray(ground_truth) == target_class
+        if not mask.any():
+            raise ReproError(
+                f"ground truth has no pixels of class {target_class}")
+        if self.requires_target:
+            params = dict(params or {})
+            spectrum = _as_bip(cube)[mask].mean(axis=0)
+            params.setdefault("target", tuple(float(v) for v in spectrum))
+        return params, mask
 
     def result_arrays(self, result) -> tuple[np.ndarray, ...]:
         """The result's decision arrays, in digest order.

@@ -39,7 +39,7 @@ from repro.pipeline.stages import Stage
 from repro.profiling.profiler import Profiler
 from repro.resilience import ExecutionKnobs
 from repro.spectral.distances import sam
-from repro.workloads.base import Workload, run_pixel_kernel
+from repro.workloads.base import Workload
 
 #: Stage labels every detection pipeline emits, in execution order.
 DETECTION_STAGE_NAMES = ("statistics", "scores", "evaluation")
@@ -125,10 +125,14 @@ class ScoreStage(Stage):
     name = "scores"
 
     def run(self, ctx: dict) -> None:
-        workload, config, bip = ctx["workload"], ctx["config"], ctx["bip"]
-        ctx["scores"] = run_pixel_kernel(
-            bip, workload.kernel, ctx["payload"], config=config,
-            halo=workload.halo(config), profiler=ctx.get("profiler"))
+        # import deferred: repro.parallel sits above this package
+        from repro.parallel import parallel_pixel_map
+
+        workload, config = ctx["workload"], ctx["config"]
+        ctx["scores"] = parallel_pixel_map(
+            ctx["bip"], workload.kernel, ctx["payload"],
+            halo=workload.halo(config), n_workers=config.n_workers,
+            profiler=ctx.get("profiler"), policy=config.retry_policy())
 
 
 class DetectionEvaluationStage(Stage):

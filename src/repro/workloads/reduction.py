@@ -30,7 +30,7 @@ from repro.pipeline.stages import Stage
 from repro.profiling.profiler import Profiler
 from repro.resilience import ExecutionKnobs
 from repro.spectral.reduction import pca
-from repro.workloads.base import Workload, run_pixel_kernel
+from repro.workloads.base import Workload
 
 #: Stage labels the reduction pipeline emits, in execution order.
 REDUCTION_STAGE_NAMES = ("statistics", "project")
@@ -99,9 +99,14 @@ class ProjectStage(Stage):
     name = "project"
 
     def run(self, ctx: dict) -> None:
-        ctx["transformed"] = run_pixel_kernel(
+        # import deferred: repro.parallel sits above this package
+        from repro.parallel import parallel_pixel_map
+
+        config = ctx["config"]
+        ctx["transformed"] = parallel_pixel_map(
             ctx["bip"], project_components, ctx["payload"],
-            config=ctx["config"], profiler=ctx.get("profiler"))
+            n_workers=config.n_workers, profiler=ctx.get("profiler"),
+            policy=config.retry_policy())
 
 
 class PcaWorkload(Workload):

@@ -1,19 +1,24 @@
 """Tests for the worker pool (repro.parallel.pool) under its drivers.
 
 The pool's fallback, retry, reuse and profiling behaviours are
-exercised through :func:`~repro.parallel.parallel_morphological_stage`,
-the entry point production runs; every result must equal the serial
-whole-image stage bit for bit.
+exercised through the entry points production runs.  The fallback,
+resilience and per-chunk-record cases run against both chunk drivers:
+:func:`~repro.parallel.parallel_morphological_stage` and
+:func:`~repro.parallel.parallel_pixel_map` (the RX kernel with its
+statistics payload).  Every result must equal the serial whole-image
+call bit for bit.
 """
 
 import multiprocessing
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from repro import faults
 from repro.core.amc_gpu import gpu_morphological_stage
+from repro.core.detection import rx_scores, rx_statistics
 from repro.core.mei import mei_reference
 from repro.errors import GpuOutOfMemoryError, StreamError, \
     TransientFaultError
@@ -31,6 +36,39 @@ def _assert_matches(maps, whole):
     np.testing.assert_array_equal(mei, whole.mei)
     np.testing.assert_array_equal(erosion, whole.erosion_index)
     np.testing.assert_array_equal(dilation, whole.dilation_index)
+
+
+class _Driver(NamedTuple):
+    """One chunk driver, as the shared cases call it."""
+
+    run: Callable            # run(cube, **driver kwargs) -> result
+    check: Callable          # check(result, cube): equals whole image
+    plan_workers: int        # fewest workers that run a chunk plan
+
+
+def _morphology(cube, **kwargs):
+    return parallel_morphological_stage(cube, 1, **kwargs)
+
+
+def _check_morphology(maps, cube):
+    _assert_matches(maps, mei_reference(cube, 1))
+
+
+def _rx_map(cube, **kwargs):
+    # halo 1, like the SE radius above, so both drivers plan alike
+    return parallel_pixel_map(cube, rx_scores, rx_statistics(cube),
+                              halo=1, **kwargs)
+
+
+def _check_rx_map(scores, cube):
+    np.testing.assert_array_equal(scores,
+                                  rx_scores(cube, *rx_statistics(cube)))
+
+
+_MORPHOLOGY = _Driver(_morphology, _check_morphology, 1)
+# The map's n_workers=1 is one whole-image call with no chunk plan, so
+# its in-process cases run the plan on two workers instead.
+_RX_MAP = _Driver(_rx_map, _check_rx_map, 2)
 
 
 class TestResolveWorkers:
@@ -53,6 +91,8 @@ def _no_idle_pools(monkeypatch):
 
 
 class TestFallback:
+    driver = _MORPHOLOGY
+
     def test_pool_unavailable_falls_back_to_serial(self, small_cube,
                                                    monkeypatch,
                                                    _no_idle_pools):
@@ -64,9 +104,8 @@ class TestFallback:
             raise OSError("no process spawning here")
 
         monkeypatch.setattr(pool_mod, "_make_pool", broken_pool)
-        _assert_matches(parallel_morphological_stage(small_cube, 1,
-                                                     n_workers=4),
-                        mei_reference(small_cube, 1))
+        self.driver.check(self.driver.run(small_cube, n_workers=4),
+                          small_cube)
         assert calls
 
     def test_pool_unavailable_records_recovery_event(self, small_cube,
@@ -76,8 +115,7 @@ class TestFallback:
             pool_mod, "_make_pool",
             lambda *a, **k: (_ for _ in ()).throw(OSError("nope")))
         profiler = Profiler()
-        parallel_morphological_stage(small_cube, 1, n_workers=4,
-                                     profiler=profiler)
+        self.driver.run(small_cube, n_workers=4, profiler=profiler)
         events = [e for e in profiler.event_records
                   if e.kind == "pool_recovery"]
         assert len(events) == 1
@@ -103,16 +141,18 @@ class TestResilience:
     give 2 core lines each.
     """
 
+    driver = _MORPHOLOGY
+
     def test_worker_crash_recovers_bit_identical(self, small_cube,
                                                  _clean_faults):
         """A worker dying mid-task (os._exit) loses only its chunk."""
         faults.install(FaultInjector(
             [FaultSpec(kind="worker_crash", index=0, attempt=0)]))
         profiler = Profiler()
-        maps = parallel_morphological_stage(
-            small_cube, 1, n_workers=2, profiler=profiler,
+        result = self.driver.run(
+            small_cube, n_workers=2, profiler=profiler,
             policy=RetryPolicy(chunk_timeout_s=2.0))
-        _assert_matches(maps, mei_reference(small_cube, 1))
+        self.driver.check(result, small_cube)
         assert any(e.kind == "pool_recovery" and e.chunk_index == 0
                    for e in profiler.event_records)
         recovered = [r for r in profiler.chunk_records if r.index == 0]
@@ -125,10 +165,10 @@ class TestResilience:
         faults.install(FaultInjector(
             [FaultSpec(kind="timeout", index=1, attempt=0, sleep_s=20.0)]))
         profiler = Profiler()
-        maps = parallel_morphological_stage(
-            small_cube, 1, n_workers=2, profiler=profiler,
+        result = self.driver.run(
+            small_cube, n_workers=2, profiler=profiler,
             policy=RetryPolicy(chunk_timeout_s=1.0))
-        _assert_matches(maps, mei_reference(small_cube, 1))
+        self.driver.check(result, small_cube)
         assert any(e.kind == "pool_recovery" and e.chunk_index == 1
                    for e in profiler.event_records)
 
@@ -137,10 +177,10 @@ class TestResilience:
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=2, attempt=0)]))
         profiler = Profiler()
-        maps = parallel_morphological_stage(
-            small_cube, 1, n_workers=2, n_chunks=5, profiler=profiler,
+        result = self.driver.run(
+            small_cube, n_workers=2, n_chunks=5, profiler=profiler,
             policy=RetryPolicy(max_retries=1))
-        _assert_matches(maps, mei_reference(small_cube, 1))
+        self.driver.check(result, small_cube)
         retried = [r for r in profiler.chunk_records if r.index == 2]
         assert retried[0].retries == 1
         assert retried[0].worker != os.getpid()     # stayed in the pool
@@ -151,10 +191,10 @@ class TestResilience:
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=2, attempt=0)]))
         profiler = Profiler()
-        maps = parallel_morphological_stage(
-            small_cube, 1, n_workers=1, n_chunks=5, profiler=profiler,
-            policy=RetryPolicy(max_retries=1))
-        _assert_matches(maps, mei_reference(small_cube, 1))
+        result = self.driver.run(
+            small_cube, n_workers=self.driver.plan_workers, n_chunks=5,
+            profiler=profiler, policy=RetryPolicy(max_retries=1))
+        self.driver.check(result, small_cube)
         retried = [r for r in profiler.chunk_records if r.index == 2]
         assert retried[0].retries == 1
 
@@ -162,8 +202,8 @@ class TestResilience:
         faults.install(FaultInjector(
             [FaultSpec(kind="transient", index=0, attempt=None)]))
         with pytest.raises(TransientFaultError):
-            parallel_morphological_stage(
-                small_cube, 1, n_workers=1, n_chunks=5,
+            self.driver.run(
+                small_cube, n_workers=self.driver.plan_workers, n_chunks=5,
                 policy=RetryPolicy(max_retries=2))
 
     def test_oom_degrades_and_stays_bit_identical(self, small_cube,
@@ -172,9 +212,10 @@ class TestResilience:
         faults.install(FaultInjector(
             [FaultSpec(kind="gpu_oom", attempt=None, ext_lines_above=4)]))
         profiler = Profiler()
-        maps = parallel_morphological_stage(
-            small_cube, 1, n_workers=1, n_chunks=2, profiler=profiler)
-        _assert_matches(maps, mei_reference(small_cube, 1))
+        result = self.driver.run(
+            small_cube, n_workers=self.driver.plan_workers, n_chunks=2,
+            profiler=profiler)
+        self.driver.check(result, small_cube)
         degrades = [e for e in profiler.event_records
                     if e.kind == "oom_degrade"]
         assert len(degrades) == 1
@@ -186,15 +227,17 @@ class TestResilience:
         faults.install(FaultInjector(
             [FaultSpec(kind="gpu_oom", attempt=None, ext_lines_above=2)]))
         with pytest.raises(GpuOutOfMemoryError):
-            parallel_morphological_stage(small_cube, 1, n_workers=1,
-                                         n_chunks=2)
+            self.driver.run(small_cube,
+                            n_workers=self.driver.plan_workers, n_chunks=2)
 
 
 class TestProfiling:
+    driver = _MORPHOLOGY
+
     def test_one_record_per_chunk(self, small_cube):
         profiler = Profiler()
-        parallel_morphological_stage(small_cube, 1, n_workers=2,
-                                     n_chunks=5, profiler=profiler)
+        self.driver.run(small_cube, n_workers=2, n_chunks=5,
+                        profiler=profiler)
         records = profiler.chunk_records
         assert len(records) == 5  # 10 lines / 2 core lines
         assert sorted(r.index for r in records) == list(range(5))
@@ -223,6 +266,34 @@ class TestProfiling:
         for r in profiler.chunk_records:
             assert r.upload_s == 0.0 and r.download_s == 0.0
             assert r.compute_s > 0.0
+
+
+class TestPixelMapFallback(TestFallback):
+    driver = _RX_MAP
+
+
+class TestPixelMapResilience(TestResilience):
+    """The map's crash, timeout and OOM re-plan run through the same
+    chunk driver as the morphological stage's."""
+
+    driver = _RX_MAP
+
+
+class TestPixelMapProfiling:
+    driver = _RX_MAP
+
+    test_one_record_per_chunk = TestProfiling.test_one_record_per_chunk
+
+    def test_serial_map_is_one_whole_image_call(self, small_cube,
+                                                _clean_faults):
+        """``n_workers=1`` plans no chunks: the chunk fault site never
+        fires and no chunk record is made."""
+        faults.install(FaultInjector(
+            [FaultSpec(kind="transient", index=0, attempt=None)]))
+        profiler = Profiler()
+        self.driver.check(self.driver.run(small_cube, n_workers=1,
+                                          profiler=profiler), small_cube)
+        assert profiler.chunk_records == []
 
 
 def _band_stride(sub):
